@@ -177,6 +177,8 @@ let run_failover ~ops ~records =
     else if Unix.gettimeofday () > deadline then
       invalid_arg "replbench: promoted replica never accepted a write"
     else begin
+      (* bound: the failover probe's resolution — the client side of a
+         promotion has nothing to block on but its own retries *)
       Unix.sleepf 0.002;
       until_stored ()
     end

@@ -204,6 +204,9 @@ let run_phase cfg clients ~total ~rate ~(next_req : unit -> Protocol.request)
       |> List.filter_map (fun c ->
              if Buffer.length c.out > c.out_off then Some c.fd else None)
     in
+    (* bound: the open-loop schedule is the only timer here; 50 ms caps
+       a wait so the run-length and stall checks above stay live when
+       every connection is quiet *)
     let timeout =
       if rate > 0.0 && !issued < total then
         Float.max 0.001 (Float.min 0.05 (start +. (float_of_int !issued /. rate) -. now))
@@ -381,6 +384,7 @@ let run cfg =
         while Buffer.length c.out > c.out_off
               && Unix.gettimeofday () < deadline do
           flush_out c;
+          (* bound: a writability slice of the 10 s goodbye deadline *)
           ignore (Unix.select [] [ c.fd ] [] 0.05)
         done
       with Unix.Unix_error _ -> ())

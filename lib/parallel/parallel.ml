@@ -54,9 +54,10 @@ type activation = {
   act_done : Color.t list Atomic.t; (* spawned chunks completed *)
 }
 
+(* an entry's response, filled once by the untrusted worker and polled
+   by [call_entry] *)
 type slot = {
   s_mu : Mutex.t;
-  s_cv : Condition.t;
   mutable s_result : (Rvalue.t, string) result option;
 }
 
@@ -147,15 +148,19 @@ let take_traps t =
 let fill_slot (slot : slot) r =
   Mutex.lock slot.s_mu;
   slot.s_result <- Some r;
-  Condition.broadcast slot.s_cv;
   Mutex.unlock slot.s_mu
 
 (* Hybrid idle backoff: spin briefly (a message usually follows within the
-   latency of one chunk), then yield the core. *)
+   latency of one chunk), then yield the core. A park on
+   Privagic_runtime.Wake was measured in place of the nap and left out:
+   on a 2-vCPU host the handoff chain then runs CPU-bound with more
+   domains than cores, and its serving throughput spread 12-20% from run
+   to run against about 6% with the nap (ROADMAP, parallel park item). *)
 let spin_budget = 1000
 
 let idle_wait counter =
   incr counter;
+  (* bound: the 100 us nap is this backend's deliberate idle floor *)
   if !counter < spin_budget then Domain.cpu_relax () else Unix.sleepf 0.0001
 
 (* Obs phase hooks. Transitions only happen at backoff boundaries and
@@ -786,7 +791,7 @@ let call_entry t ?(thread = 0) ?(timeout_s = 60.0) name (args : Rvalue.t list)
     }
   in
   let slot =
-    { s_mu = Mutex.create (); s_cv = Condition.create (); s_result = None }
+    { s_mu = Mutex.create (); s_result = None }
   in
   let uw = worker t thread Color.Unsafe in
   let start = Unix.gettimeofday () in
@@ -816,6 +821,8 @@ let call_entry t ?(thread = 0) ?(timeout_s = 60.0) name (args : Rvalue.t list)
                 "entry %s: timed out after %.0fs (worker pool stalled)" name
                 timeout_s))
       else begin
+        (* bound: same 100 us floor as [idle_wait]; the deadline above is
+           the fail-fast bound *)
         Unix.sleepf 0.0001;
         await ()
       end
@@ -861,6 +868,7 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
         else if Unix.gettimeofday () > deadline then
           raise (Error "inject_spawn: timed out")
         else begin
+          (* bound: same 100 us floor as [idle_wait], 30 s deadline *)
           Unix.sleepf 0.0001;
           drain ()
         end
@@ -886,6 +894,7 @@ let shutdown ?(timeout_s = 10.0) t : bool =
     if Atomic.get t.inflight = 0 then true
     else if Unix.gettimeofday () > deadline then false
     else begin
+      (* bound: same 100 us floor as [idle_wait], [timeout_s] deadline *)
       Unix.sleepf 0.0001;
       quiesce ()
     end

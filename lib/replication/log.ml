@@ -1,8 +1,8 @@
-(* A mutex-guarded growable array. Readers (shipper threads) poll
-   [head]/[get]; there is no condvar because every consumer in this
-   runtime already uses short-sleep polling (the Msqueue idle loop, the
-   server's backpressure stall), and the shipper's poll interval is far
-   below the store's per-op latency. *)
+(* A mutex-guarded growable array. The log itself signals nobody:
+   readers (shipper threads) check [head] under its mutex and block on
+   the shipper's commit wake, which the serving layer signals once per
+   committed chunk (Shipper.notify) — one wake-up per chunk instead of
+   one per appended delta. *)
 
 type t = {
   mu : Mutex.t;

@@ -1,9 +1,12 @@
 (* See the .mli. One thread owns the socket end to end: connect (with
    retry while the primary is still binding), hello, then a read loop
    that feeds the incremental stream reader, unseals, applies in seq
-   order and sends one coalesced ack per feed batch. The loop polls a
-   stop flag through a short select timeout instead of blocking reads,
-   so [stop] never has to interrupt a syscall. *)
+   order and sends one coalesced ack per feed batch. The loop blocks on
+   the socket together with [wake], which [stop] signals, so [stop] never
+   has to interrupt a syscall; [wait_lost] sleeps on the same wake,
+   signalled when the link ends. *)
+
+module Wake = Privagic_runtime.Wake
 
 type status = Connecting | Streaming | Lost | Stopped
 
@@ -14,6 +17,7 @@ type t = {
   mutable err : string;
   mutable stopping : bool;
   mutable thread : Thread.t option;
+  wake : Wake.t;  (* [stopping] set, or [st] became Lost/Stopped *)
 }
 
 let locked t f =
@@ -68,8 +72,9 @@ let run t ~sync ~cluster ~from_seq ~connect_timeout_s ~on_lost ~host ~port
   let fail = ref "" in
   (* connect, retrying while the primary is not accepting yet *)
   let deadline = Unix.gettimeofday () +. connect_timeout_s in
+  let stopping () = locked t (fun () -> t.stopping) in
   let rec connect () =
-    if locked t (fun () -> t.stopping) then None
+    if stopping () then None
     else
       match try_connect host port with
       | Some fd -> Some fd
@@ -79,7 +84,11 @@ let run t ~sync ~cluster ~from_seq ~connect_timeout_s ~on_lost ~host ~port
           None
         end
         else begin
-          Unix.sleepf 0.05;
+          (* bound: the retry interval while the primary is not yet
+             listening — nothing signals "port open"; [stop] cuts it *)
+          ignore
+            (Wake.await ~deadline:(Unix.gettimeofday () +. 0.05) t.wake
+               stopping);
           connect ()
         end
   in
@@ -124,12 +133,11 @@ let run t ~sync ~cluster ~from_seq ~connect_timeout_s ~on_lost ~host ~port
     in
     if not (write_all fd (Delta.render_hello ~sync ~from_seq)) then
       fail := "handshake write failed";
-    while !fail = "" && not (locked t (fun () -> t.stopping)) do
-      match Unix.select [ fd ] [] [] 0.05 with
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
+    while !fail = "" && not (stopping ()) do
+      match Wake.wait ~fd t.wake stopping with
       | exception Unix.Unix_error _ -> fail := "socket error"
-      | [], _, _ -> ()
-      | _ -> (
+      | Wake.Woken | Wake.Timed_out -> ()
+      | Wake.Readable -> (
         match Unix.read fd buf 0 (Bytes.length buf) with
         | exception Unix.Unix_error (EINTR, _, _) -> ()
         | exception Unix.Unix_error _ -> fail := "read error"
@@ -155,6 +163,7 @@ let run t ~sync ~cluster ~from_seq ~connect_timeout_s ~on_lost ~host ~port
           true
         end)
   in
+  Wake.signal t.wake;
   if fire then on_lost ()
 
 let start ?(sync = false) ?(cluster = "privagic") ?(from_seq = 1)
@@ -168,6 +177,7 @@ let start ?(sync = false) ?(cluster = "privagic") ?(from_seq = 1)
       err = "";
       stopping = false;
       thread = None;
+      wake = Wake.create ();
     }
   in
   let th =
@@ -190,19 +200,13 @@ let stop t =
         t.stopping <- true;
         t.thread)
   in
+  Wake.signal t.wake;
   (match th with Some th -> Thread.join th | None -> ());
-  locked t (fun () -> if t.st <> Lost then t.st <- Stopped)
+  locked t (fun () -> if t.st <> Lost then t.st <- Stopped);
+  Wake.signal t.wake
 
 let wait_lost t ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    match locked t (fun () -> t.st) with
-    | Lost | Stopped -> true
-    | Connecting | Streaming ->
-      if Unix.gettimeofday () > deadline then false
-      else begin
-        Unix.sleepf 0.002;
-        go ()
-      end
-  in
-  go ()
+  Wake.await ~deadline:(Unix.gettimeofday () +. timeout_s) t.wake (fun () ->
+      match status t with
+      | Lost | Stopped -> true
+      | Connecting | Streaming -> false)

@@ -4,12 +4,16 @@
    per-delta, and the store's own per-op cost dwarfs it.
 
    The wire discipline per thread: send frames while the log has entries
-   beyond the cursor and the in-flight window has room, otherwise poll
-   the socket for acks with a short select. Sealing happens at render
-   time, so the log itself stays plaintext (it never leaves the process;
-   the wire never sees a secret-colored payload unsealed). *)
+   beyond the cursor and the in-flight window has room, otherwise block
+   on [commits] together with the socket — a commit ([notify]) or the
+   drain wakes it, an ack makes the socket readable. The fence blocks on
+   [acks], which every recorded ack and every dropped link signal.
+   Sealing happens at render time, so the log itself stays plaintext (it
+   never leaves the process; the wire never sees a secret-colored
+   payload unsealed). *)
 
 module Tel = Privagic_telemetry
+module Wake = Privagic_runtime.Wake
 
 type conn = {
   fd : Unix.file_descr;
@@ -32,6 +36,9 @@ type t = {
   mutable threads : Thread.t list;
   mutable draining : bool;
   mutable drain_deadline : float;
+  commits : Wake.t;   (* ship threads: new log entries, or the drain *)
+  acks : Wake.t;      (* fence waiters: an ack arrived or a link died *)
+  fence_timeouts : int Atomic.t;  (* wait_synced calls that gave up *)
   (* metrics (hub mutex) *)
   h_lag : Tel.Metrics.histogram;
   mutable m_last_lag_us : float;
@@ -55,6 +62,9 @@ let create ?(window = 1024) ?(cluster = "privagic") ?(span = fun _ f -> f ())
     threads = [];
     draining = false;
     drain_deadline = infinity;
+    commits = Wake.create ();
+    acks = Wake.create ();
+    fence_timeouts = Atomic.make 0;
     h_lag = Tel.Metrics.histogram metrics "replication lag (us)";
     m_last_lag_us = 0.0;
     m_shipped = 0;
@@ -98,6 +108,8 @@ let write_all fd s =
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
         if Unix.gettimeofday () > deadline then false
         else begin
+          (* bound: a full socket buffer drains at the peer's pace; the
+             0.25 s slice only re-checks the 30 s stall deadline *)
           (try ignore (Unix.select [] [ fd ] [] 0.25)
            with Unix.Unix_error _ -> ());
           go off
@@ -119,11 +131,15 @@ let note_acked t c seq =
           Tel.Metrics.observe t.h_lag lag;
           t.m_last_lag_us <- lag
         | _ -> continue := false
-      done)
+      done);
+  Wake.signal t.acks
 
 let drop t c =
   locked t (fun () -> c.alive <- false);
+  Wake.signal t.acks;
   try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+let notify t = Wake.signal t.commits
 
 (* Read whatever acks arrived; false on EOF/error. *)
 let pump_acks t c buf =
@@ -148,10 +164,17 @@ let ship_thread t c =
         Seal.seal ~key:k ~nonce payload)
   in
   let ok = ref (write_all c.fd (Delta.render_ok c.cursor)) in
-  while !ok && c.alive do
+  (* log head, unacked frames, drain flag: what each round acts on *)
+  let state () =
     let head = Log.head t.log in
-    let in_flight = locked t (fun () -> c.cursor - 1 - c.acked) in
-    if c.cursor <= head && in_flight < t.window then begin
+    locked t (fun () -> (head, c.cursor - 1 - c.acked, t.draining))
+  in
+  let sendable (head, in_flight, _) =
+    c.cursor <= head && in_flight < t.window
+  in
+  while !ok && c.alive do
+    let ((head, in_flight, draining) as now) = state () in
+    if sendable now then begin
       (* a run of frames in one write, bounded by the window *)
       let stop = min head (c.cursor + (t.window - in_flight) - 1) in
       let frames = Buffer.create 1024 in
@@ -176,20 +199,25 @@ let ship_thread t c =
           ok := write_all c.fd (Buffer.contents frames));
       if !ok then ok := pump_acks t c buf
     end
+    else if
+      draining
+      && (Unix.gettimeofday () > t.drain_deadline
+         || (c.cursor > head && in_flight <= 0))
+    then
+      (* drain: the tail is flushed and acked, or the deadline passed *)
+      ok := false
     else begin
-      (* nothing to send (or window full): wait for acks or new commits *)
-      (match Unix.select [ c.fd ] [] [] 0.002 with
-      | [], _, _ -> ()
-      | _ -> ok := pump_acks t c buf
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ -> ok := false);
-      (* drain: once the tail is flushed, linger only for pending acks *)
-      if
-        t.draining
-        && c.cursor > Log.head t.log
-        && (c.acked >= Log.head t.log
-           || Unix.gettimeofday () > t.drain_deadline)
-      then ok := false
+      (* nothing to send (or window full): block until an ack arrives, a
+         commit lands, the drain starts, or the drain deadline passes *)
+      let ready () =
+        let ((_, _, draining') as s) = state () in
+        sendable s || draining' <> draining
+      in
+      let deadline = if draining then Some t.drain_deadline else None in
+      match Wake.wait ?deadline ~fd:c.fd t.commits ready with
+      | Wake.Readable -> ok := pump_acks t c buf
+      | Wake.Woken | Wake.Timed_out -> ()
+      | exception Unix.Unix_error _ -> ok := false
     end
   done;
   drop t c
@@ -223,21 +251,18 @@ let sync_connected t =
       List.length (List.filter (fun c -> c.alive && c.sync) t.conns))
 
 let wait_synced t ~seq ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    let pending =
-      locked t (fun () ->
-          List.exists (fun c -> c.alive && c.sync && c.acked < seq) t.conns)
-    in
-    if not pending then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.yield ();
-      Unix.sleepf 0.0005;
-      go ()
-    end
+  let synced =
+    Wake.await ~deadline:(Unix.gettimeofday () +. timeout_s) t.acks (fun () ->
+        locked t (fun () ->
+            not
+              (List.exists
+                 (fun c -> c.alive && c.sync && c.acked < seq)
+                 t.conns)))
   in
-  go ()
+  if not synced then Atomic.incr t.fence_timeouts;
+  synced
+
+let fence_timeouts t = Atomic.get t.fence_timeouts
 
 let last_lag_us t = locked t (fun () -> t.m_last_lag_us)
 let lag_pctiles t = locked t (fun () -> Tel.Metrics.pctiles t.h_lag)
@@ -276,6 +301,7 @@ let drain t ~timeout_s =
         a)
   in
   if not already then begin
+    notify t;
     let threads = locked t (fun () -> t.threads) in
     List.iter Thread.join threads
   end

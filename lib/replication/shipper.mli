@@ -34,14 +34,24 @@ val create :
     shipping thread. Refused (fd closed) when the shipper is draining. *)
 val register : t -> Unix.file_descr -> sync:bool -> from_seq:int -> unit
 
+(** Wake the shipping threads: the serving layer calls this once per
+    committed chunk, after the log append. A thread with nothing to send
+    blocks until this, an ack, or the drain — never on a timer. *)
+val notify : t -> unit
+
 (** Live replica connections. *)
 val connected : t -> int
 
 val sync_connected : t -> int
 
 (** Block until every live sync replica has acknowledged [seq] (dead
-    replicas stop gating). [true] on success, [false] on timeout. *)
+    replicas stop gating). [true] on success, [false] on timeout. The
+    wait sleeps on a wake that each recorded ack and each dropped link
+    signal. *)
 val wait_synced : t -> seq:int -> timeout_s:float -> bool
+
+(** {!wait_synced} calls that returned [false]. *)
+val fence_timeouts : t -> int
 
 (** Most recent send→ack lag sample, microseconds (0.0 before any). *)
 val last_lag_us : t -> float

@@ -41,14 +41,6 @@ val close : 'a t -> unit
 
 val is_closed : 'a t -> bool
 
-(** Blocking drain: wait (calling [idle] between attempts) until an
-    element is available ([Some]) or the queue is both closed and
-    observed empty per the drain protocol above ([None]). Consumers that
-    loop on [pop_or_closed] until it returns [None] process every element
-    pushed before {!close} — the serving layer's executors and the
-    parallel backend's teardown both rely on this. *)
-val pop_or_closed : 'a t -> idle:(unit -> unit) -> 'a option
-
 (** Snapshot length — exact only in quiescent states; used by tests and by
     the simulator's queue-depth statistics. *)
 val length : 'a t -> int

@@ -280,7 +280,7 @@ type t = {
   role_mu : Mutex.t;
   mutable t_role : role;
   n_applied : int Atomic.t;        (* deltas applied while a replica *)
-  n_fence_timeouts : int Atomic.t; (* sync acks that timed out *)
+  n_drain_timeouts : int Atomic.t; (* drain selects that hit their bound *)
   tel_mu : Mutex.t;                (* the recorder is not thread-safe *)
   a_wake_r : Unix.file_descr;      (* acceptor self-pipe *)
   a_wake_w : Unix.file_descr;
@@ -494,6 +494,8 @@ let mirror t ~seq op =
   match Repl.Log.append_at t.repl_log ~seq op with
   | () ->
     Atomic.incr t.n_applied;
+    (* a promoted or chained replica ships its mirror downstream *)
+    Repl.Shipper.notify t.hub;
     Ok ()
   | exception Invalid_argument m -> Error m
 
@@ -572,14 +574,17 @@ let inflight c =
   Mutex.unlock c.c_mu;
   n
 
-(* Sync-replication fence: hold responses until every live sync replica
-   acknowledged this commit — read-your-writes on replica reads.
-   Called outside all latches, so other shards keep executing; a wedged
-   replica degrades to async after the timeout. *)
-let maybe_fence t max_seq =
-  if max_seq > 0 && Repl.Shipper.sync_connected t.hub > 0 then
-    if not (Repl.Shipper.wait_synced t.hub ~seq:max_seq ~timeout_s:5.0) then
-      Atomic.incr t.n_fence_timeouts
+(* After a chunk committed deltas up to [max_seq]: wake the shipper,
+   then apply the sync-replication fence — hold responses until every
+   live sync replica acknowledged this commit (read-your-writes on
+   replica reads). Called outside all latches, so other shards keep
+   executing; a wedged replica degrades to async after the timeout. *)
+let ship_and_fence t max_seq =
+  if max_seq > 0 then begin
+    Repl.Shipper.notify t.hub;
+    if Repl.Shipper.sync_connected t.hub > 0 then
+      ignore (Repl.Shipper.wait_synced t.hub ~seq:max_seq ~timeout_s:5.0)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* execution: one chunk of same-shard requests, under the shard latch *)
@@ -760,7 +765,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
       chunk
   in
   Mutex.unlock sh.sh_latch;
-  maybe_fence t !max_seq;
+  ship_and_fence t !max_seq;
   List.iter (fun (c, p, resp) -> fill t c p resp) responses
 
 (* ------------------------------------------------------------------ *)
@@ -824,7 +829,7 @@ let exec_txn_2pc t s ops =
           commit_writes f_applied;
           Protocol.Error_msg ("exec: " ^ f_msg))
   in
-  maybe_fence t !max_seq;
+  ship_and_fence t !max_seq;
   resp
 
 (* A scan merges per-shard ordered-index cursors: each shard's slice is
@@ -995,6 +1000,10 @@ let rec admit_remote t s r =
     match t.cfg.policy with
     | Shed -> false
     | Block ->
+      (* bound: reached only in overload — the target's inbox holds
+         queue_depth requests and ours is empty. Room appears when the
+         target's loop pops, which signals nothing we can block on
+         beside our own self-pipe, so this retries every 0.5 ms *)
       if process_inbox_round t s = 0 then Unix.sleepf 0.0005;
       admit_remote t s r
 
@@ -1230,14 +1239,17 @@ let shard_loop t s =
         end)
       s.sh_conns;
     (* no timeout on the serving path: every event that needs us writes
-       the self-pipe. While draining, a bounded timeout catches peers
+       the self-pipe. bound: while draining, a 5 s timeout catches peers
        that stall mid-flush (they are dropped, like the old 30 s write
-       deadline, so a wedged client cannot hang the drain). *)
+       deadline, so a wedged client cannot hang the drain); it is
+       counted, because a healthy drain never reaches it. *)
     let timeout = if draining then 5.0 else -1.0 in
     (match Unix.select !rds !wrs [] timeout with
     | [], [], [] ->
-      if draining then
+      if draining then begin
+        Atomic.incr t.n_drain_timeouts;
         List.iter (fun c -> if has_output c then c.c_dead <- true) s.sh_conns
+      end
     | rd, _, _ ->
       if List.mem s.sh_wake_r rd then drain_pipe s.sh_wake_r pbuf;
       List.iter
@@ -1257,7 +1269,10 @@ let shard_loop t s =
     progress t s;
     List.iter flush_conn s.sh_conns;
     sweep t s;
-    if draining then begin
+    (* re-read: the drain's wake-up may have been consumed by the select
+       above, and a stale [false] here would block the next iteration in
+       the 5 s drain-mode select *)
+    if Atomic.get t.draining then begin
       (* two-stage drain. Stage 1: every shard reports "all parsed work
          dispatched" (jobs may still be in flight in other shards'
          inboxes). Only when all shards report does [drain] close the
@@ -1500,7 +1515,7 @@ let start ?replica_of cfg bnd (stores : store array) =
         | Some addr -> Replica_of addr
         | None -> Primary);
       n_applied = Atomic.make 0;
-      n_fence_timeouts = Atomic.make 0;
+      n_drain_timeouts = Atomic.make 0;
       tel_mu;
       a_wake_r;
       a_wake_w;
@@ -1583,8 +1598,11 @@ let start ?replica_of cfg bnd (stores : store array) =
      "requests routed or committed across shards" t.n_xshard;
    ac "privagic_server_repl_applied_total" "deltas applied while a replica"
      t.n_applied;
-   ac "privagic_server_repl_fence_timeouts_total" "sync acks that timed out"
-     t.n_fence_timeouts;
+   Obs.Registry.gauge reg ~help:"sync acks that timed out"
+     "privagic_server_repl_fence_timeouts_total" (fun () ->
+       float_of_int (Repl.Shipper.fence_timeouts t.hub));
+   ac "privagic_server_drain_timeouts_total"
+     "drain selects that hit their 5 s bound" t.n_drain_timeouts;
    ac "privagic_server_cas_conflicts_total"
      "CAS guards that lost to an earlier writer" t.n_cas_conflicts;
    Obs.Registry.gauge reg
@@ -1744,6 +1762,7 @@ type stats = {
   s_xshard : int;
   s_conns_rejected : int;
   s_fd_cap : int;
+  s_drain_timeouts : int;
 }
 
 let stats t =
@@ -1775,7 +1794,7 @@ let stats t =
     s_repl_lag_us = Repl.Shipper.last_lag_us t.hub;
     s_repl_seq = Repl.Log.head t.repl_log;
     s_applied = g t.n_applied;
-    s_fence_timeouts = g t.n_fence_timeouts;
+    s_fence_timeouts = Repl.Shipper.fence_timeouts t.hub;
     s_getv = g t.n_getv;
     s_cas = g t.n_cas;
     s_cas_conflicts = g t.n_cas_conflicts;
@@ -1790,6 +1809,7 @@ let stats t =
     s_xshard = g t.n_xshard;
     s_conns_rejected = g t.conns_rejected;
     s_fd_cap = fd_cap;
+    s_drain_timeouts = g t.n_drain_timeouts;
   }
 
 let stats_fields t =
@@ -1842,6 +1862,7 @@ let stats_fields t =
     ("xshard", string_of_int s.s_xshard);
     ("fd_cap", string_of_int s.s_fd_cap);
     ("conns_rejected", string_of_int s.s_conns_rejected);
+    ("drain_timeouts", string_of_int s.s_drain_timeouts);
   ]
 
 let () =

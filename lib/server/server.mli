@@ -164,6 +164,7 @@ type stats = {
   s_xshard : int;           (** requests routed or committed across shards *)
   s_conns_rejected : int;   (** connections refused at {!fd_cap} *)
   s_fd_cap : int;
+  s_drain_timeouts : int;   (** drain selects that hit their 5 s bound *)
 }
 
 val stats : t -> stats

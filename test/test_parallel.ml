@@ -284,6 +284,29 @@ let test_timeout_is_an_error () =
       (Helpers.contains msg "timed out"));
   ignore (Parallel.shutdown ~timeout_s:30.0 p)
 
+let test_shutdown_deadline () =
+  (* the other fail-fast bound: a pool that cannot quiesce in time makes
+     shutdown give up at its deadline instead of hanging. The entry is a
+     finite busy loop (~0.5 s), so the pool quiesces on its own later. *)
+  let src =
+    "int main() { int i; i = 0; while (i < 2000000) { i = i + 1; } return i; }"
+  in
+  let p = Parallel.create (Helpers.plan_of ~mode:Mode.Relaxed src) in
+  (match Parallel.call_entry p ~timeout_s:0.05 "main" [] with
+  | _ -> Alcotest.fail "expected the entry to time out"
+  | exception Parallel.Error msg ->
+    Alcotest.(check bool) "entry timed out" true (Helpers.contains msg "timed out"));
+  let t0 = Unix.gettimeofday () in
+  let quiet = Parallel.shutdown ~timeout_s:0.05 p in
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "shutdown reports the stuck pool" false quiet;
+  Alcotest.(check bool)
+    (Printf.sprintf "shutdown gave up at its deadline (%.3f s)" took)
+    true (took < 1.0);
+  (* the loop ends; the in-flight count reaching 0 wakes a second wait *)
+  Alcotest.(check bool) "pool quiesces afterwards" true
+    (Parallel.shutdown ~timeout_s:30.0 p)
+
 let suite =
   [
     Alcotest.test_case "hashmap sim=parallel" `Quick test_hashmap;
@@ -302,4 +325,6 @@ let suite =
       test_spawn_guard;
     Alcotest.test_case "timeout surfaces as error" `Quick
       test_timeout_is_an_error;
+    Alcotest.test_case "shutdown deadline on a busy pool" `Quick
+      test_shutdown_deadline;
   ]

@@ -602,6 +602,128 @@ let test_apply_gap () =
   Alcotest.(check int) "applied counter" 3 st.Server.s_applied;
   Server.drain node.n_srv
 
+(* ------------------------------------------------------------------ *)
+(* the sync fence's deadline: a replica that takes the stream and never
+   acks. The fence must give up at its own deadline (counted in
+   repl_fence_timeouts), and a late ack must release the next waiter at
+   once — the fence sleeps on acks, it does not poll for them. *)
+
+let test_fence_timeout () =
+  let src = Programs.memcached ~nbuckets:64 ~vsize `Colored in
+  let node =
+    make_node ~engine:(Exec.default_engine ()) ~backend:`Sim (plan_of src)
+  in
+  let hub = Server.repl_hub node.n_srv in
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock ours;
+  (* the serving layer's handoff after a [repl sync 1] hello *)
+  Shipper.register hub ours ~sync:true ~from_seq:1;
+  let rd = Delta.reader () in
+  let buf = Bytes.create 4096 in
+  let read_frames deadline =
+    match Unix.select [ theirs ] [] [] (deadline -. Unix.gettimeofday ()) with
+    | [], _, _ -> []
+    | _ -> Delta.feed rd buf (Unix.read theirs buf 0 (Bytes.length buf))
+  in
+  let rec await_frame what pred deadline =
+    if Unix.gettimeofday () > deadline then Alcotest.failf "no %s" what
+    else if not (List.exists pred (read_frames deadline)) then
+      await_frame what pred deadline
+  in
+  await_frame "OK hello"
+    (function Delta.Ok_hello 1 -> true | _ -> false)
+    (Unix.gettimeofday () +. 2.0);
+  (* a commit reaches the replica through the shipper's commit wake *)
+  let seq =
+    Log.append (Server.repl_log node.n_srv)
+      (Delta.Put { key = 1; color = "U"; payload = "x" })
+  in
+  Shipper.notify hub;
+  await_frame "shipped frame"
+    (function Delta.Frame { d; _ } -> d.Delta.seq = seq | _ -> false)
+    (Unix.gettimeofday () +. 1.0);
+  let t0 = Unix.gettimeofday () in
+  let synced = Shipper.wait_synced hub ~seq ~timeout_s:0.2 in
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "fence gives up without an ack" false synced;
+  Alcotest.(check bool)
+    (Printf.sprintf "fence timeout within 1 s (took %.3f s)" took)
+    true (took < 1.0);
+  Alcotest.(check int) "repl_fence_timeouts counted" 1
+    (Server.stats node.n_srv).Server.s_fence_timeouts;
+  (* a second waiter, released by a late ack *)
+  let released = ref (Error "still waiting") in
+  let waiter =
+    Thread.create
+      (fun () ->
+        let ok = Shipper.wait_synced hub ~seq ~timeout_s:5.0 in
+        released := Ok (ok, Unix.gettimeofday ()))
+      ()
+  in
+  Thread.delay 0.1;
+  let acked_at = Unix.gettimeofday () in
+  send_all theirs (Delta.render_ack seq);
+  Thread.join waiter;
+  (match !released with
+  | Ok (ok, at) ->
+    Alcotest.(check bool) "late ack satisfies the fence" true ok;
+    Alcotest.(check bool)
+      (Printf.sprintf "released within 50 ms of the ack (%.1f ms)"
+         ((at -. acked_at) *. 1e3))
+      true
+      (at -. acked_at < 0.05)
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "no further timeouts" 1
+    (Server.stats node.n_srv).Server.s_fence_timeouts;
+  Server.drain node.n_srv;
+  Unix.close theirs
+
+(* ------------------------------------------------------------------ *)
+(* drain latency: a 2-shard primary and its 2-shard sync replica each
+   drain promptly, never by way of the drain-mode select bound *)
+
+let test_drain_prompt () =
+  let src = Programs.memcached ~nbuckets:64 ~vsize `Colored in
+  let engine = Exec.default_engine () in
+  let primary = make_node ~shards:2 ~engine ~backend:`Sim (plan_of src) in
+  let pport = Server.port primary.n_srv in
+  let rnode =
+    make_node ~shards:2
+      ~replica_of:(Printf.sprintf "127.0.0.1:%d" pport)
+      ~engine ~backend:`Sim (plan_of src)
+  in
+  let client = attach ~sync:true rnode pport in
+  let hub = Server.repl_hub primary.n_srv in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Shipper.sync_connected hub < 1 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  Alcotest.(check int) "sync replica registered" 1 (Shipper.sync_connected hub);
+  let pc = connect pport in
+  for k = 0 to 15 do
+    match rpc pc (Protocol.Set (k, Printf.sprintf "d%02d" k)) with
+    | Protocol.Stored -> ()
+    | _ -> Alcotest.fail "set failed"
+  done;
+  Unix.close pc.fd;
+  let timed_drain what srv =
+    let t0 = Unix.gettimeofday () in
+    Server.drain srv;
+    let took = Unix.gettimeofday () -. t0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s drain under 1 s (took %.3f s)" what took)
+      true (took < 1.0);
+    Alcotest.(check int) (what ^ " drain_timeouts") 0
+      (Server.stats srv).Server.s_drain_timeouts
+  in
+  timed_drain "primary" primary.n_srv;
+  Alcotest.(check bool) "replica saw the link end" true
+    (Replica.wait_lost client ~timeout_s:5.0);
+  Alcotest.(check int) "replica applied every write" 16
+    (Replica.applied_seq client);
+  Replica.stop client;
+  timed_drain "replica" rnode.n_srv
+
 let suite =
   [ Alcotest.test_case "seal model" `Quick test_seal;
     Alcotest.test_case "delta codec" `Quick test_delta_codec;
@@ -612,5 +734,9 @@ let suite =
       (wire_capture `Plain false);
     Alcotest.test_case "sync read-your-writes, promotion" `Quick
       test_sync_ryw_and_promotion;
-    Alcotest.test_case "apply rejects stream gaps" `Quick test_apply_gap ]
+    Alcotest.test_case "apply rejects stream gaps" `Quick test_apply_gap;
+    Alcotest.test_case "sync fence timeout and late ack" `Quick
+      test_fence_timeout;
+    Alcotest.test_case "drain: 2-shard primary and sync replica" `Quick
+      test_drain_prompt ]
   @ convergence_cases

@@ -4,6 +4,7 @@
 module Msqueue = Privagic_runtime.Msqueue
 module Vclock = Privagic_runtime.Vclock
 module Sched = Privagic_runtime.Sched
+module Wake = Privagic_runtime.Wake
 
 let test_queue_fifo () =
   let q = Msqueue.create () in
@@ -237,6 +238,106 @@ let test_sched_virtual_time_causality () =
   Alcotest.(check (float 0.001)) "consumer advanced to 500" 500.0
     !consumer_clock
 
+(* ------------------------------------------------------------------ *)
+(* Wake: the blocking primitive behind every serving-path wait *)
+
+(* Two domains bounce a ball 100k round trips, each side blocking on its
+   own wake until the other side's move lands. The main side waits with
+   no deadline (the Condition path), the spawned side with a deadline
+   (the self-pipe select path), so both paths carry the stress. A lost
+   wake-up shows as a deadline hit on the select side, or as the
+   watchdog firing on the Condition side (which then aborts the run
+   instead of hanging the suite). *)
+let test_wake_ping_pong () =
+  let rounds = 100_000 in
+  let ball = Atomic.make 0 in
+  let aborted = Atomic.make false in
+  let wa = Wake.create () and wb = Wake.create () and wdone = Wake.create () in
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+        if
+          not
+            (Wake.await ~deadline:(Unix.gettimeofday () +. 30.0) wdone
+               (fun () -> Atomic.get finished))
+        then begin
+          Atomic.set aborted true;
+          Wake.signal wa;
+          Wake.signal wb
+        end)
+  in
+  let pong =
+    Domain.spawn (fun () ->
+        let hits = ref 0 in
+        for i = 0 to rounds - 1 do
+          let ready () = Atomic.get ball = (2 * i) + 1 || Atomic.get aborted in
+          if
+            not
+              (Wake.await ~deadline:(Unix.gettimeofday () +. 5.0) wb ready)
+          then incr hits;
+          Atomic.set ball ((2 * i) + 2);
+          Wake.signal wa
+        done;
+        !hits)
+  in
+  for i = 0 to rounds - 1 do
+    Atomic.set ball ((2 * i) + 1);
+    Wake.signal wb;
+    ignore
+      (Wake.await wa (fun () ->
+           Atomic.get ball = (2 * i) + 2 || Atomic.get aborted))
+  done;
+  let hits = Domain.join pong in
+  Atomic.set finished true;
+  Wake.signal wdone;
+  Domain.join watchdog;
+  Alcotest.(check bool) "no lost wake-up (watchdog quiet)" false
+    (Atomic.get aborted);
+  Alcotest.(check int) "no deadline hit" 0 hits;
+  Alcotest.(check int) "every round trip completed" (2 * rounds)
+    (Atomic.get ball)
+
+(* A deadline wait nobody signals reports Timed_out, close to its
+   deadline; a descriptor wait reports Readable; a signal wakes a
+   blocked waiter on either path. *)
+let test_wake_deadline () =
+  let w = Wake.create () in
+  let t0 = Unix.gettimeofday () in
+  let o = Wake.wait ~deadline:(t0 +. 0.1) w (fun () -> false) in
+  let late = Unix.gettimeofday () -. (t0 +. 0.1) in
+  Alcotest.(check bool) "timed out" true (o = Wake.Timed_out);
+  Alcotest.(check bool)
+    (Printf.sprintf "within 50 ms of the deadline (late by %.1f ms)"
+       (late *. 1e3))
+    true
+    (late >= 0.0 && late < 0.05);
+  Alcotest.(check bool) "await reports the timeout" false
+    (Wake.await ~deadline:(Unix.gettimeofday () +. 0.01) w (fun () -> false));
+  let r, wr = Unix.pipe () in
+  ignore (Unix.write_substring wr "x" 0 1);
+  Alcotest.(check bool) "readable fd" true
+    (Wake.wait ~fd:r w (fun () -> false) = Wake.Readable);
+  Unix.close r;
+  Unix.close wr;
+  (* a signal releases a blocked waiter promptly, on both paths *)
+  List.iter
+    (fun deadline ->
+      let flag = Atomic.make false in
+      let d =
+        Domain.spawn (fun () ->
+            let t = Unix.gettimeofday () in
+            let ok = Wake.await ?deadline w (fun () -> Atomic.get flag) in
+            (ok, Unix.gettimeofday () -. t))
+      in
+      Unix.sleepf 0.02;
+      Atomic.set flag true;
+      Wake.signal w;
+      let ok, waited = Domain.join d in
+      Alcotest.(check bool) "signalled waiter sees its condition" true ok;
+      Alcotest.(check bool) "released well before any deadline" true
+        (waited < 1.0))
+    [ None; Some (Unix.gettimeofday () +. 30.0) ]
+
 let suite =
   [
     Alcotest.test_case "queue fifo" `Quick test_queue_fifo;
@@ -253,4 +354,6 @@ let suite =
     Alcotest.test_case "sched spawn during run" `Quick test_sched_spawn_during_run;
     Alcotest.test_case "sched blocked stays" `Quick test_sched_blocked_stays;
     Alcotest.test_case "sched causality" `Quick test_sched_virtual_time_causality;
+    Alcotest.test_case "wake ping-pong (domains)" `Quick test_wake_ping_pong;
+    Alcotest.test_case "wake deadline and signal" `Quick test_wake_deadline;
   ]

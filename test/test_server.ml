@@ -254,7 +254,55 @@ let test_drain_no_loss ~shards () =
       if r <> Protocol.Stored then Alcotest.fail "non-STORED under drain")
     resps;
   let s = Server.stats srv in
-  Alcotest.(check int) "server counted them" n s.Server.s_sets
+  Alcotest.(check int) "server counted them" n s.Server.s_sets;
+  Alcotest.(check int) "drain never reached its bound" 0
+    s.Server.s_drain_timeouts
+
+(* The drain's last-resort bound: a peer that stops reading mid-flush
+   cannot hang the drain. Its pipelined gets of a 32 KiB value (16 MiB
+   of responses) overflow the socket buffers; the drain-mode select
+   times out after its 5 s bound, the connection is dropped, and the
+   timeout is counted — the one way drain_timeouts moves. *)
+let test_drain_bound_stalled_peer () =
+  let big = 32768 in
+  let src = Programs.memcached ~nbuckets:8 ~vsize:big `Colored in
+  let m = Privagic_minic.Driver.compile ~file:"memcached.mc" src in
+  let mode = Privagic_secure.Mode.Hardened in
+  let p = Privagic_partition.Plan.build ~mode (Privagic_secure.Infer.run ~mode m) in
+  let store = store_of `Sim p in
+  (match store.Server.st_call "mc_init" [ Rvalue.Int 4L ] with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "mc_init: %s" m);
+  let srv =
+    Server.start
+      { Server.default_config with Server.port = 0; vsize = big }
+      (Option.get (Server.bindings_of_plan p))
+      [| store |]
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+  let c = { fd; rd = Protocol.resp_reader () } in
+  (match rpc c (Protocol.Set (1, String.make big 'v')) with
+  | Protocol.Stored -> ()
+  | _ -> Alcotest.fail "set failed");
+  let burst = Buffer.create 8192 in
+  for _ = 1 to 512 do
+    Buffer.add_string burst (Protocol.render_request (Protocol.Get 1))
+  done;
+  send_all c (Buffer.contents burst);
+  (* never read again: let the shard answer until the buffers fill *)
+  Thread.delay 0.3;
+  let t0 = Unix.gettimeofday () in
+  Server.drain srv;
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "drain ended by its 5 s bound (took %.2f s)" took)
+    true
+    (took >= 4.5 && took < 10.0);
+  Alcotest.(check int) "the bound is counted" 1
+    (Server.stats srv).Server.s_drain_timeouts;
+  Unix.close fd
 
 (* 'stats metrics' loopback: the Prometheus exposition must arrive over
    a plain socket, closed by END, carrying the serving/pool/vm/replication
@@ -446,4 +494,6 @@ let suite =
     Alcotest.test_case "stats metrics loopback" `Quick
       test_stats_metrics_loopback;
     Alcotest.test_case "shedding at queue bound 1" `Quick test_shedding;
+    Alcotest.test_case "drain bound drops a stalled peer" `Quick
+      test_drain_bound_stalled_peer;
   ]
