@@ -122,6 +122,7 @@ let run_micro () =
    memcached-style YCSB-B run under the partitioned system. *)
 
 module Tel = Privagic_telemetry
+module Obs = Privagic_obs
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -141,23 +142,23 @@ let run_telemetry_bench ~quick () =
   Format.printf "== telemetry: profiled memcached run ==@.";
   let records = if quick then 256 else 1024 in
   let operations = if quick then 300 else 2000 in
-  let r = Tel.Recorder.create () in
+  let tr = Obs.Trace.create () in
   let res =
-    Kv.run ~telemetry:r Kv.Memcached (System.Privagic Mode.Hardened)
+    Kv.run ~telemetry:tr Kv.Memcached (System.Privagic Mode.Hardened)
       ~record_count:records ~operations ()
   in
-  let evs = Tel.Recorder.events r in
-  let summary = Tel.Summary.of_events ~dropped:(Tel.Recorder.dropped r) evs in
-  (* the load phase was cleared from the recorder: analyze the window the
+  let evs = Obs.Trace.events tr in
+  let summary = Obs.Summary.of_events ~dropped:(Obs.Trace.dropped tr) evs in
+  (* the load phase was cleared from the ring: analyze the window the
      retained events cover so the path is attributed to the measured ops *)
   let since =
     Array.fold_left
-      (fun acc (e : Tel.Event.t) -> Float.min acc e.Tel.Event.at)
+      (fun acc (e : Obs.Ring.event) -> Float.min acc e.ev_at)
       infinity evs
   in
   let since = if since = infinity then 0.0 else since in
-  let cp = Tel.Critical_path.analyze ~since evs in
-  let ql = Tel.Metrics.histogram summary.Tel.Summary.metrics
+  let cp = Obs.Critical_path.analyze ~since evs in
+  let ql = Tel.Metrics.histogram summary.Obs.Summary.metrics
       "queue latency (cycles)" in
   let b = Buffer.create 4096 in
   let bp fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -168,21 +169,21 @@ let run_telemetry_bench ~quick () =
   bp "  \"operations\": %d,\n" res.Kv.operations;
   bp "  \"throughput_kops\": %.3f,\n" res.Kv.throughput_kops;
   bp "  \"mean_latency_us\": %.3f,\n" res.Kv.mean_latency_us;
-  bp "  \"events\": %d,\n" summary.Tel.Summary.event_count;
-  bp "  \"events_dropped\": %d,\n" summary.Tel.Summary.dropped;
-  bp "  \"makespan_cycles\": %.0f,\n" summary.Tel.Summary.makespan;
+  bp "  \"events\": %d,\n" summary.Obs.Summary.event_count;
+  bp "  \"events_dropped\": %d,\n" summary.Obs.Summary.dropped;
+  bp "  \"makespan_cycles\": %.0f,\n" summary.Obs.Summary.makespan;
   bp "  \"window_start_cycles\": %.0f,\n" since;
   bp "  \"critical_path\": {\n";
-  bp "    \"total_cycles\": %.0f,\n" (Tel.Critical_path.total cp);
-  bp "    \"complete\": %b,\n" cp.Tel.Critical_path.cp_complete;
+  bp "    \"total_cycles\": %.0f,\n" (Obs.Critical_path.total cp);
+  bp "    \"complete\": %b,\n" cp.Obs.Critical_path.cp_complete;
   bp "    \"by_worker\": [";
   List.iteri
     (fun i (k, d) ->
       bp "%s\n      { \"worker\": \"%s\", \"cycles\": %.0f }"
         (if i = 0 then "" else ",")
-        (json_escape (Tel.Recorder.track_name r k))
+        (json_escape (Obs.Trace.track_name tr k))
         d)
-    cp.Tel.Critical_path.cp_by_track;
+    cp.Obs.Critical_path.cp_by_track;
   bp "\n    ],\n";
   bp "    \"by_chunk\": [";
   List.iteri
@@ -190,7 +191,7 @@ let run_telemetry_bench ~quick () =
       bp "%s\n      { \"chunk\": \"%s\", \"cycles\": %.0f }"
         (if i = 0 then "" else ",")
         (json_escape name) d)
-    cp.Tel.Critical_path.cp_by_chunk;
+    cp.Obs.Critical_path.cp_by_chunk;
   bp "\n    ]\n";
   bp "  },\n";
   bp "  \"queue_latency_cycles\": {\n";
@@ -209,8 +210,8 @@ let run_telemetry_bench ~quick () =
   Format.printf
     "  makespan %.0f cycles, critical path %.0f cycles over %d workers -> \
      BENCH_telemetry.json@.@."
-    summary.Tel.Summary.makespan (Tel.Critical_path.total cp)
-    (List.length cp.Tel.Critical_path.cp_by_track)
+    summary.Obs.Summary.makespan (Obs.Critical_path.total cp)
+    (List.length cp.Obs.Critical_path.cp_by_track)
 
 (* --- parallel-backend benchmark: real domains -> BENCH_parallel.json
 

@@ -213,37 +213,30 @@ let tcb_action mode auth path =
     (Privagic_partition.Tcb.of_plan plan);
   0
 
-module Tel = Privagic_telemetry
+module Trace = Privagic_obs.Trace
 
-let write_trace rec_ out =
-  try Tel.Chrome_trace.recorder_to_file rec_ out with
+let report_trace tr out =
+  (try Privagic_obs.Chrome_trace.write tr out with
   | Sys_error msg ->
     prerr_endline ("cannot write trace: " ^ msg);
-    exit 2
+    exit 2);
+  Format.printf "trace: %d events on %d tracks -> %s@."
+    (Array.length (Trace.events tr))
+    (List.length (Trace.tracks tr))
+    out
 
 (* run --backend=parallel: same plan, executed on OCaml 5 domains with the
    lock-free queue; reports wall-clock time instead of simulated cycles. *)
 let run_parallel_action trace lanes engine plan entry argv =
   let module Par = Privagic_parallel.Parallel in
   let pt = Par.create ~lanes ~engine plan in
-  let rec_ =
-    match trace with
-    | None -> None
-    | Some _ ->
-      let r = Tel.Recorder.create () in
-      Par.set_telemetry pt r;
-      Some r
-  in
+  let tr = Option.map (fun _ -> Trace.create ()) trace in
+  Par.set_telemetry pt tr;
   (match Par.call_entry pt entry argv with
   | r ->
     print_string (Par.output pt);
-    (match (trace, rec_) with
-    | Some out, Some rec_ ->
-      write_trace rec_ out;
-      Format.printf "trace: %d events on %d tracks -> %s@."
-        (Tel.Recorder.length rec_)
-        (List.length (Tel.Recorder.tracks rec_))
-        out
+    (match (trace, tr) with
+    | Some out, Some tr -> report_trace tr out
     | _ -> ());
     Format.printf "=> %s  (wall: %.3f ms on %d domains)@."
       (Privagic_vm.Rvalue.to_string r.Par.value)
@@ -272,29 +265,20 @@ let run_action mode auth trace schedule max_steps backend lanes engine path
   let argv =
     List.map (fun a -> Privagic_vm.Rvalue.Int (Int64.of_string a)) args
   in
-  let rec_ =
-    match trace with
-    | None -> None
-    | Some _ ->
-      let r = Tel.Recorder.create () in
-      Privagic_vm.Pinterp.set_telemetry pt r;
-      Some r
+  (* the schedule prints from the same ring the trace writes *)
+  let tr =
+    if Option.is_some trace || schedule then Some (Trace.create ()) else None
   in
-  if schedule then Privagic_vm.Pinterp.start_trace pt;
+  Privagic_vm.Pinterp.set_telemetry pt tr;
   (match Privagic_vm.Pinterp.call_entry pt ?max_steps entry argv with
   | r ->
     print_string (Privagic_vm.Pinterp.output pt);
-    if schedule then
-      Format.printf "%a"
-        Privagic_vm.Pinterp.pp_trace
-        (Privagic_vm.Pinterp.stop_trace pt);
-    (match (trace, rec_) with
-    | Some out, Some rec_ ->
-      write_trace rec_ out;
-      Format.printf "trace: %d events on %d tracks -> %s@."
-        (Tel.Recorder.length rec_)
-        (List.length (Tel.Recorder.tracks rec_))
-        out
+    (match tr with
+    | Some tr when schedule ->
+      Format.printf "%a" Privagic_vm.Pinterp.pp_schedule tr
+    | _ -> ());
+    (match (trace, tr) with
+    | Some out, Some tr -> report_trace tr out
     | _ -> ());
     Format.printf "=> %s  (latency: %.0f cycles)@."
       (Privagic_vm.Rvalue.to_string r.Privagic_vm.Pinterp.value)
@@ -325,21 +309,20 @@ let profile_action mode auth trace engine stalls live quick path entry args =
     let argv =
       List.map (fun a -> Privagic_vm.Rvalue.Int (Int64.of_string a)) args
     in
-    let rec_ = Tel.Recorder.create () in
-    Privagic_vm.Pinterp.set_telemetry pt rec_;
+    let tr = Trace.create () in
+    Privagic_vm.Pinterp.set_telemetry pt (Some tr);
     (match Privagic_vm.Pinterp.call_entry pt entry argv with
     | r ->
       print_string (Privagic_vm.Pinterp.output pt);
-      let track_name = Tel.Recorder.track_name rec_ in
-      let summary = Tel.Summary.of_recorder rec_ in
-      Format.printf "%a@." (Tel.Summary.pp ~track_name) summary;
-      let cp = Tel.Critical_path.analyze (Tel.Recorder.events rec_) in
-      Format.printf "%a@." (Tel.Critical_path.pp ~track_name) cp;
-      (match trace with
-      | Some out ->
-        write_trace rec_ out;
-        Format.printf "trace written to %s@." out
-      | None -> ());
+      let track_name = Trace.track_name tr in
+      let evs = Trace.events tr in
+      let summary =
+        Privagic_obs.Summary.of_events ~dropped:(Trace.dropped tr) evs
+      in
+      Format.printf "%a@." (Privagic_obs.Summary.pp ~track_name) summary;
+      let cp = Privagic_obs.Critical_path.analyze evs in
+      Format.printf "%a@." (Privagic_obs.Critical_path.pp ~track_name) cp;
+      Option.iter (report_trace tr) trace;
       (if live then begin
          let module Obs = Privagic_obs in
          let reg = Obs.Registry.create () in
@@ -515,9 +498,7 @@ let serve_action mode auth trace backend lanes engine host port queue_depth
     prerr_endline "serve: --shards must be at least 1";
     exit 1
   end;
-  let rec_ =
-    match trace with Some _ -> Tel.Recorder.create () | None -> Tel.Recorder.null
-  in
+  let tr = Option.map (fun _ -> Trace.create ()) trace in
   (* one backend instance per shard: each shard's event loop owns its
      store exclusively, so the backends never contend *)
   let mk_store () =
@@ -525,12 +506,11 @@ let serve_action mode auth trace backend lanes engine host port queue_depth
     | `Parallel ->
       let module Par = Privagic_parallel.Parallel in
       let p = Par.create ~lanes ~engine plan in
-      if rec_ != Tel.Recorder.null then Par.set_telemetry p rec_;
+      Par.set_telemetry p tr;
       Server.store_of_parallel p
     | `Sim ->
       let pt = Privagic_vm.Pinterp.create ~engine plan in
-      if rec_ != Tel.Recorder.null then
-        Privagic_vm.Pinterp.set_telemetry pt rec_;
+      Privagic_vm.Pinterp.set_telemetry pt tr;
       Server.store_of_pinterp pt
   in
   let stores = Array.init shards (fun _ -> mk_store ()) in
@@ -558,7 +538,7 @@ let serve_action mode auth trace backend lanes engine host port queue_depth
       policy;
       max_batch;
       vsize;
-      telemetry = rec_;
+      telemetry = tr;
       repl_window;
       repl_cluster = cluster_key;
     }
@@ -629,11 +609,9 @@ let serve_action mode auth trace backend lanes engine host port queue_depth
   List.iter
     (fun (k, v) -> Format.printf "  %-20s %s@." k v)
     (Server.stats_fields srv);
-  (match trace with
-  | Some out ->
-    write_trace rec_ out;
-    Format.printf "trace written to %s@." out
-  | None -> ());
+  (match (trace, tr) with
+  | Some out, Some tr -> report_trace tr out
+  | _ -> ());
   0
 
 let loadgen_action host port clients ops rate depth records vsize seed

@@ -14,7 +14,7 @@
 
 open Privagic_secure
 module Sgx = Privagic_sgx
-module Tel = Privagic_telemetry
+module Trace = Privagic_obs.Trace
 open Privagic_vm
 
 type kind =
@@ -64,11 +64,10 @@ let create ?(config = Sgx.Config.machine_b) ?cost ?(auth_pointers = false)
     let it = Interp.create ~config ?cost ?engine m policy in
     (* the single-system interpreters only expose the machine-level events
        (transitions, faults), timed by the sequential clock *)
-    (match telemetry with
-    | Some r ->
-      Sgx.Machine.set_telemetry (Interp.machine it) r;
-      Tel.Recorder.set_now r (fun () -> Interp.clock it)
-    | None -> ());
+    Sgx.Machine.set_telemetry (Interp.machine it)
+      (Option.map
+         (fun tr -> (Trace.vm_ring tr, fun () -> Interp.clock it))
+         telemetry);
     {
       name = kind_name kind;
       kind;
@@ -93,9 +92,7 @@ let create ?(config = Sgx.Config.machine_b) ?cost ?(auth_pointers = false)
       | _ -> Sgx.Machine.queue_msg_cost
     in
     let pt = Pinterp.create ~config ?cost ~crossing ?engine plan in
-    (match telemetry with
-    | Some r -> Pinterp.set_telemetry pt r
-    | None -> ());
+    Pinterp.set_telemetry pt telemetry;
     {
       name = kind_name kind;
       kind;

@@ -38,14 +38,14 @@ type t = {
 exception Rejected of Diagnostic.t list
 (** The Privagic checker refused the program. *)
 
-(** [telemetry] attaches a recorder to the simulated execution: the
+(** [telemetry] records the simulated execution into a ring of the trace: the
     partitioned systems record the full event set (fibers, messages,
     chunks, machine events); the single-system baselines record machine
     events only. [engine] selects the VM execution engine (default
     [Privagic_vm.Exec.default_engine ()]). *)
 val create :
   ?config:Sgx.Config.t -> ?cost:Sgx.Cost.t -> ?auth_pointers:bool ->
-  ?telemetry:Privagic_telemetry.Recorder.t ->
+  ?telemetry:Privagic_obs.Trace.t ->
   ?engine:Privagic_vm.Exec.engine -> kind -> string -> t
 
 (** Client-side buffers in unsafe memory (the harness's network buffers). *)

@@ -82,15 +82,12 @@ let colored_plan ?(auth_pointers = false) ~mode src =
   plan
 
 let run_parallel ?(nbuckets = 4096) ?(vsize = 1024) ?(seed = 42)
-    ?(distribution = Ycsb.Zipfian) ?(lanes = 2) ?(drivers = 1) ?telemetry
+    ?(distribution = Ycsb.Zipfian) ?(lanes = 2) ?(drivers = 1)
     ?engine (family : family) ~(record_count : int) ~(operations : int) () :
     parallel_result =
   let src = source family `Colored ~nbuckets ~vsize in
   let plan = colored_plan ~mode:(mode_for family) src in
   let p = Parallel.create ~lanes ?engine plan in
-  (match telemetry with
-  | Some r -> Parallel.set_telemetry p r
-  | None -> ());
   let heap = (Parallel.exec p).Exec.heap in
   let put_entry, get_entry = entries family in
   let vbuf = Heap.alloc heap Heap.Unsafe vsize in
@@ -212,9 +209,7 @@ let run ?(config = Sgx.Config.machine_b) ?cost ?(nbuckets = 4096)
   done;
   Sgx.Machine.reset_stats sys.System.machine;
   (* the load phase is warm-up: telemetry covers the measured phase only *)
-  (match telemetry with
-  | Some r -> Privagic_telemetry.Recorder.clear r
-  | None -> ());
+  Option.iter Privagic_obs.Trace.clear telemetry;
   (* run phase *)
   let spec =
     { (Ycsb.workload_b ~seed ~record_count ~operation_count:operations

@@ -62,7 +62,6 @@ val run_parallel :
   ?distribution:Ycsb.distribution ->
   ?lanes:int ->
   ?drivers:int ->
-  ?telemetry:Privagic_telemetry.Recorder.t ->
   ?engine:Privagic_vm.Exec.engine ->
   family ->
   record_count:int ->
@@ -78,7 +77,7 @@ val run :
   ?seed:int ->
   ?distribution:Ycsb.distribution ->
   ?auth_pointers:bool ->
-  ?telemetry:Privagic_telemetry.Recorder.t ->
+  ?telemetry:Privagic_obs.Trace.t ->
   ?engine:Privagic_vm.Exec.engine ->
   family ->
   System.kind ->

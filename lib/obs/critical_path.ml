@@ -40,49 +40,50 @@ let total t =
 
 let eps = 1e-6
 
-(* Chunk spans per track, from paired Chunk_begin/Chunk_end events. *)
-let chunk_spans (evs : Event.t array) =
+(* Spans per track, from paired [b]/[e] events: chunk spans, and the
+   serving layer's request spans. *)
+let spans ~b ~e (evs : Ring.event array) =
   let stacks : (int, (string * float) list ref) Hashtbl.t = Hashtbl.create 8 in
   let spans = ref [] in
   Array.iter
-    (fun (e : Event.t) ->
+    (fun (ev : Ring.event) ->
       let stack =
-        match Hashtbl.find_opt stacks e.Event.track with
+        match Hashtbl.find_opt stacks ev.ev_track with
         | Some s -> s
         | None ->
           let s = ref [] in
-          Hashtbl.replace stacks e.Event.track s;
+          Hashtbl.replace stacks ev.ev_track s;
           s
       in
-      match e.Event.kind with
-      | Event.Chunk_begin -> stack := (e.Event.name, e.Event.at) :: !stack
-      | Event.Chunk_end -> (
+      if ev.ev_code = b then stack := (ev.ev_name, ev.ev_at) :: !stack
+      else if ev.ev_code = e then
         match !stack with
         | (name, t0) :: rest ->
           stack := rest;
-          spans := (e.Event.track, name, t0, e.Event.at) :: !spans
+          spans := (ev.ev_track, name, t0, ev.ev_at) :: !spans
         | [] -> ())
-      | _ -> ())
     evs;
   !spans
 
+let chunk_spans = spans ~b:Ring.code_chunk_begin ~e:Ring.code_chunk_end
+
 (* [since] bounds the walk on the left: the path tiles [since, makespan]
    and anything earlier is out of the analysis window (e.g. a discarded
-   warm-up phase whose events were cleared from the recorder). *)
-let analyze ?(since = 0.0) (evs : Event.t array) : t =
+   warm-up phase whose events were cleared from the ring). *)
+let analyze ?(since = 0.0) (evs : Ring.event array) : t =
   if Array.length evs = 0 then
     { cp_makespan = 0.0; cp_segments = []; cp_by_track = []; cp_by_chunk = [];
       cp_complete = true }
   else begin
     (* per-track event lists, sorted by time (stable: record order breaks
        ties, which is chronological per fiber) *)
-    let by_track : (int, Event.t array) Hashtbl.t = Hashtbl.create 8 in
-    let tmp : (int, Event.t list ref) Hashtbl.t = Hashtbl.create 8 in
+    let by_track : (int, Ring.event array) Hashtbl.t = Hashtbl.create 8 in
+    let tmp : (int, Ring.event list ref) Hashtbl.t = Hashtbl.create 8 in
     Array.iter
-      (fun (e : Event.t) ->
-        match Hashtbl.find_opt tmp e.Event.track with
+      (fun (e : Ring.event) ->
+        match Hashtbl.find_opt tmp e.ev_track with
         | Some l -> l := e :: !l
-        | None -> Hashtbl.replace tmp e.Event.track (ref [ e ]))
+        | None -> Hashtbl.replace tmp e.ev_track (ref [ e ]))
       evs;
     Hashtbl.iter
       (fun k l ->
@@ -91,58 +92,55 @@ let analyze ?(since = 0.0) (evs : Event.t array) : t =
         (* stable sort by timestamp *)
         let idx = Array.mapi (fun i e -> (i, e)) a' in
         Array.sort
-          (fun (i, (x : Event.t)) (j, (y : Event.t)) ->
-            match Float.compare x.Event.at y.Event.at with
+          (fun (i, (x : Ring.event)) (j, (y : Ring.event)) ->
+            match Float.compare x.ev_at y.ev_at with
             | 0 -> compare i j
             | c -> c)
           idx;
         Hashtbl.replace by_track k (Array.map snd idx))
       tmp;
     (* sends by flow id *)
-    let send_by_flow : (int, Event.t) Hashtbl.t = Hashtbl.create 64 in
+    let send_by_flow : (int, Ring.event) Hashtbl.t = Hashtbl.create 64 in
     Array.iter
-      (fun (e : Event.t) ->
-        match e.Event.kind with
-        | Event.Msg_send -> Hashtbl.replace send_by_flow e.Event.arg e
-        | _ -> ())
+      (fun (e : Ring.event) ->
+        if e.ev_code = Ring.code_msg_send then
+          Hashtbl.replace send_by_flow e.ev_arg e)
       evs;
     (* spawns by child track: list sorted by time *)
-    let spawns : (int, Event.t list ref) Hashtbl.t = Hashtbl.create 8 in
+    let spawns : (int, Ring.event list ref) Hashtbl.t = Hashtbl.create 8 in
     Array.iter
-      (fun (e : Event.t) ->
-        match e.Event.kind with
-        | Event.Fiber_spawn -> (
-          match Hashtbl.find_opt spawns e.Event.track with
+      (fun (e : Ring.event) ->
+        if e.ev_code = Ring.code_fiber_spawn then
+          match Hashtbl.find_opt spawns e.ev_track with
           | Some l -> l := e :: !l
-          | None -> Hashtbl.replace spawns e.Event.track (ref [ e ]))
-        | _ -> ())
+          | None -> Hashtbl.replace spawns e.ev_track (ref [ e ]))
       evs;
     (* send-like events usable for timestamp matching (the scheduler-only
        fallback when no flow id is available) *)
     let send_like =
       Array.of_list
         (List.filter
-           (fun (e : Event.t) ->
-             match e.Event.kind with
-             | Event.Msg_send | Event.Fiber_finish | Event.Chunk_end -> true
-             | _ -> false)
+           (fun (e : Ring.event) ->
+             e.ev_code = Ring.code_msg_send
+             || e.ev_code = Ring.code_fiber_finish
+             || e.ev_code = Ring.code_chunk_end)
            (Array.to_list evs))
     in
     let makespan =
-      Array.fold_left (fun acc (e : Event.t) -> Float.max acc e.Event.at) 0.0
+      Array.fold_left (fun acc (e : Ring.event) -> Float.max acc e.ev_at) 0.0
         evs
     in
     (* the walk starts at the track holding the latest event *)
     let last =
       Array.fold_left
-        (fun (best : Event.t) (e : Event.t) ->
-          if e.Event.at > best.Event.at then e else best)
+        (fun (best : Ring.event) (e : Ring.event) ->
+          if e.ev_at > best.ev_at then e else best)
         evs.(0) evs
     in
     let segments = ref [] in
     let complete = ref false in
     let guard = ref (Array.length evs + 8) in
-    let cur_track = ref last.Event.track in
+    let cur_track = ref last.ev_track in
     let cur_time = ref makespan in
     let finished = ref false in
     while not !finished && !guard > 0 do
@@ -157,44 +155,44 @@ let analyze ?(since = 0.0) (evs : Event.t array) : t =
       (try
          for i = Array.length track_evs - 1 downto 0 do
            let e = track_evs.(i) in
-           if e.Event.at <= !cur_time +. eps then begin
-             match e.Event.kind with
-             | Event.Msg_recv -> (
-               match Hashtbl.find_opt send_by_flow e.Event.arg with
+           if e.ev_at <= !cur_time +. eps then begin
+             if e.ev_code = Ring.code_msg_recv then begin
+               match Hashtbl.find_opt send_by_flow e.ev_arg with
                | Some s
-                 when s.Event.track <> !cur_track
-                      && e.Event.at <= s.Event.at +. eps ->
+                 when s.ev_track <> !cur_track
+                      && e.ev_at <= s.ev_at +. eps ->
                  (* binding receive: the receiver waited for this send *)
                  entry :=
-                   Some (e.Event.at, s.Event.track,
-                         Printf.sprintf "msg:%s" s.Event.name);
+                   Some (e.ev_at, s.ev_track,
+                         Printf.sprintf "msg:%s" s.ev_name);
                  raise Exit
-               | _ -> () (* non-binding or local: keep scanning *))
-             | Event.Fiber_start -> (
+               | _ -> () (* non-binding or local: keep scanning *)
+             end
+             else if e.ev_code = Ring.code_fiber_start then begin
                (* the spawn that started this fiber: latest spawn on this
                   track at or before the start *)
                match Hashtbl.find_opt spawns !cur_track with
                | Some l ->
                  let cands =
                    List.filter
-                     (fun (s : Event.t) -> s.Event.at <= e.Event.at +. eps)
+                     (fun (s : Ring.event) -> s.ev_at <= e.ev_at +. eps)
                      !l
                  in
                  let parent =
                    List.fold_left
-                     (fun acc (s : Event.t) ->
+                     (fun acc (s : Ring.event) ->
                        match acc with
-                       | Some (a : Event.t) when a.Event.at >= s.Event.at ->
+                       | Some (a : Ring.event) when a.ev_at >= s.ev_at ->
                          acc
                        | _ -> Some s)
                      None cands
                  in
                  (match parent with
-                 | Some s when s.Event.arg >= 0 && s.Event.arg <> !cur_track
+                 | Some s when s.ev_arg >= 0 && s.ev_arg <> !cur_track
                    ->
-                   entry := Some (e.Event.at, s.Event.arg, "spawn");
+                   entry := Some (e.ev_at, s.ev_arg, "spawn");
                    raise Exit
-                 | Some s when s.Event.arg = !cur_track ->
+                 | Some s when s.ev_arg = !cur_track ->
                    (* serialized after earlier work on this same track
                       (e.g. the previous request of the thread): the
                       fiber boundary is not a causal entry — keep
@@ -202,32 +200,33 @@ let analyze ?(since = 0.0) (evs : Event.t array) : t =
                    ()
                  | _ ->
                    (* externally spawned: the chain ends here *)
-                   entry := Some (e.Event.at, -1, "origin");
+                   entry := Some (e.ev_at, -1, "origin");
                    raise Exit)
                | None ->
-                 entry := Some (e.Event.at, -1, "origin");
-                 raise Exit)
-             | Event.Fiber_resume when e.Event.farg > 0.0 -> (
+                 entry := Some (e.ev_at, -1, "origin");
+                 raise Exit
+             end
+             else if e.ev_code = Ring.code_fiber_resume then begin
                (* binding only if the arrival moved the clock: find the
                   send-like event at that timestamp on another track *)
-               let arr = e.Event.farg in
-               if arr >= e.Event.at -. eps then begin
+               let arr = Ring.float_of_stamp e.ev_arg in
+               if arr > 0.0 && arr >= e.ev_at -. eps then begin
                  let cause = ref None in
                  Array.iter
-                   (fun (s : Event.t) ->
+                   (fun (s : Ring.event) ->
                      if
-                       s.Event.track <> !cur_track
-                       && Float.abs (s.Event.at -. arr) <= eps
+                       s.ev_track <> !cur_track
+                       && Float.abs (s.ev_at -. arr) <= eps
                        && !cause = None
                      then cause := Some s)
                    send_like;
                  match !cause with
                  | Some s ->
-                   entry := Some (e.Event.at, s.Event.track, "resume");
+                   entry := Some (e.ev_at, s.ev_track, "resume");
                    raise Exit
                  | None -> ()
-               end)
-             | _ -> ()
+               end
+             end
            end
          done
        with Exit -> ());

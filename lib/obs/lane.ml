@@ -13,9 +13,9 @@ type t = {
   start_us : int;
 }
 
-let create ?ring_cap ~id ~label ~now_us () =
+let create ~ring ~now_us =
   {
-    l_ring = Ring.create ?cap:ring_cap ~id ~label ();
+    l_ring = ring;
     acc = Array.make Phase.count 0;
     cur = Phase.index Phase.Queue_wait;
     since_us = now_us;

@@ -11,9 +11,9 @@
 
 type t
 
-(** [create ~id ~label ~now_us ()] starts a lane in [Queue_wait] at
-    [now_us]. [id]/[label] name the underlying ring. *)
-val create : ?ring_cap:int -> id:int -> label:string -> now_us:int -> unit -> t
+(** [create ~ring ~now_us] starts a lane in [Queue_wait] at [now_us],
+    recording into [ring] (its label names the lane). *)
+val create : ring:Ring.t -> now_us:int -> t
 
 val ring : t -> Ring.t
 

@@ -1,16 +1,21 @@
-(* Always-on runtime observability (§8.12 in DESIGN.md).
+(* The event stack (§8.6 in DESIGN.md): always-on runtime observability
+   and the trace sinks over the same rings.
 
    This root module re-exports the pieces and owns the two process-wide
-   bits of state every component shares: the obs epoch (so all rings
-   timestamp against one clock and merge into one timeline) and the
+   bits of state every component shares: the obs epoch (so all wall-clock
+   rings timestamp against one clock and merge into one timeline) and the
    enabled switch. "Always-on" means the default is on; PRIVAGIC_OBS=off
    exists so the CI overhead gate has an off-state to compare against,
    not as something users are expected to set. *)
 
 module Phase = Phase
 module Ring = Ring
+module Trace = Ring.Trace
 module Lane = Lane
 module Registry = Registry
+module Chrome_trace = Chrome_trace
+module Summary = Summary
+module Critical_path = Critical_path
 
 let enabled_ref =
   ref

@@ -3,6 +3,8 @@
    per-worker busy occupancy, transition/fault counts — and renders them
    with the histograms of {!Metrics}. *)
 
+module Metrics = Privagic_telemetry.Metrics
+
 type t = {
   makespan : float;
   event_count : int;
@@ -11,34 +13,7 @@ type t = {
   occupancy : (int * float) list;  (* track -> busy fraction of makespan *)
 }
 
-(* Request spans per track, from paired Req_begin/Req_end events (the
-   serving layer's end-to-end latency; same pairing as chunk spans). *)
-let req_spans (evs : Event.t array) =
-  let stacks : (int, (string * float) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let spans = ref [] in
-  Array.iter
-    (fun (e : Event.t) ->
-      let stack =
-        match Hashtbl.find_opt stacks e.Event.track with
-        | Some s -> s
-        | None ->
-          let s = ref [] in
-          Hashtbl.replace stacks e.Event.track s;
-          s
-      in
-      match e.Event.kind with
-      | Event.Req_begin -> stack := (e.Event.name, e.Event.at) :: !stack
-      | Event.Req_end -> (
-        match !stack with
-        | (name, t0) :: rest ->
-          stack := rest;
-          spans := (e.Event.track, name, t0, e.Event.at) :: !spans
-        | [] -> ())
-      | _ -> ())
-    evs;
-  !spans
-
-let of_events ?(dropped = 0) (evs : Event.t array) : t =
+let of_events ?(dropped = 0) (evs : Ring.event array) : t =
   let m = Metrics.create () in
   let queue_latency = Metrics.histogram m "queue latency (cycles)" in
   let span_len = Metrics.histogram m "chunk span length (cycles)" in
@@ -52,7 +27,7 @@ let of_events ?(dropped = 0) (evs : Event.t array) : t =
   let send_at : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let busy : (int, float) Hashtbl.t = Hashtbl.create 8 in
   let makespan =
-    Array.fold_left (fun acc (e : Event.t) -> Float.max acc e.Event.at) 0.0 evs
+    Array.fold_left (fun acc (e : Ring.event) -> Float.max acc e.ev_at) 0.0 evs
   in
   let spans = Critical_path.chunk_spans evs in
   (* busy time = union of the track's chunk intervals; a nested chunk
@@ -78,34 +53,38 @@ let of_events ?(dropped = 0) (evs : Event.t array) : t =
         Hashtbl.replace busy track (total +. (hi -. lo)))
     by_track;
   Array.iter
-    (fun (e : Event.t) ->
-      match e.Event.kind with
-      | Event.Msg_send ->
+    (fun (e : Ring.event) ->
+      let c = e.ev_code in
+      if c = Ring.code_msg_send then begin
         Metrics.incr msgs;
-        (match e.Event.name with
+        (match e.ev_name with
         | "spawn" -> Metrics.incr spawns
         | "retval" | "token" -> Metrics.incr conts
         | _ -> ());
-        Hashtbl.replace send_at e.Event.arg e.Event.at
-      | Event.Msg_recv -> (
-        match Hashtbl.find_opt send_at e.Event.arg with
-        | Some t0 -> Metrics.observe queue_latency (Float.max 0.0 (e.Event.at -. t0))
-        | None -> ())
-      | Event.Chunk_begin -> ()
-      | Event.Chunk_end -> ()
-      | Event.Barrier -> Metrics.incr barriers
-      | Event.Ecall -> Metrics.incr ecalls
-      | Event.Epc_fault -> Metrics.incr ~by:(max 1 e.Event.arg) epc_faults
-      | Event.Syscall | Event.Ocall -> Metrics.incr syscalls
-      | _ -> ())
+        Hashtbl.replace send_at e.ev_arg e.ev_at
+      end
+      else if c = Ring.code_msg_recv then begin
+        match Hashtbl.find_opt send_at e.ev_arg with
+        | Some t0 ->
+          Metrics.observe queue_latency (Float.max 0.0 (e.ev_at -. t0))
+        | None -> ()
+      end
+      else if c = Ring.code_barrier then Metrics.incr barriers
+      else if c = Ring.code_ecall then Metrics.incr ecalls
+      else if c = Ring.code_epc_fault then
+        Metrics.incr ~by:(max 1 e.ev_arg) epc_faults
+      else if c = Ring.code_syscall || c = Ring.code_ocall then
+        Metrics.incr syscalls)
     evs;
   List.iter
     (fun (_track, _name, t0, t1) -> Metrics.observe span_len (t1 -. t0))
     spans;
   (* serving-layer request spans, when present: end-to-end latency in the
-     recorder's clock units (cycles under the simulator, microseconds
+     ring's clock units (cycles under the simulator, microseconds
      under the wall-clock backends) *)
-  (match req_spans evs with
+  (match
+     Critical_path.spans ~b:Ring.code_req_begin ~e:Ring.code_req_end evs
+   with
   | [] -> ()
   | rspans ->
     let requests = Metrics.counter m "requests" in
@@ -128,9 +107,6 @@ let of_events ?(dropped = 0) (evs : Event.t array) : t =
              (k, if makespan > 0.0 then v /. makespan else 0.0) :: acc)
            busy []);
   }
-
-let of_recorder (r : Recorder.t) : t =
-  of_events ~dropped:(Recorder.dropped r) (Recorder.events r)
 
 let pp ?(track_name = fun k -> Printf.sprintf "track-%d" k) fmt t =
   let open Format in

@@ -34,7 +34,6 @@ open Privagic_partition
 open Privagic_vm
 module Sgx = Privagic_sgx
 module Msq = Privagic_runtime.Msqueue
-module Tel = Privagic_telemetry
 module Obs = Privagic_obs
 
 exception Error of string
@@ -81,12 +80,12 @@ type worker = {
   w_color : Color.t;
   w_queue : msg Msq.t;
   w_exec : Exec.t;                 (* per-domain executor, shared tables *)
-  w_track : int;                   (* telemetry track *)
   mutable w_mail : (int * Rvalue.t) list; (* conts, own domain only *)
   mutable w_act : activation option;
   w_occ : (int * int, int ref) Hashtbl.t; (* barrier occurrence counters *)
   mutable w_domain : unit Domain.t option;
-  w_obs : Obs.Lane.t option; (* phase accounting + event ring; None = obs off *)
+  w_obs : Obs.Lane.t option;
+      (* phase accounting + event ring; None = obs off and untraced *)
 }
 
 type t = {
@@ -106,9 +105,7 @@ type t = {
   bar_mu : Mutex.t;                (* barrier arrival/completion tables *)
   bar_arrived : (int * int * int * string, unit) Hashtbl.t;
   bar_done : (int * string, unit) Hashtbl.t;
-  tel_mu : Mutex.t;                (* the recorder is not thread-safe *)
-  mutable tel : Tel.Recorder.t;
-  mutable t0 : float;              (* wall-clock epoch for telemetry *)
+  mutable trace : Obs.Trace.t option; (* lane rings join it when set *)
   mutable domains : int;
   entries_served : int Atomic.t;   (* completed call_entry requests *)
 }
@@ -121,17 +118,6 @@ let dummy_hooks : Exec.hooks =
     h_pre_instr = (fun _ _ -> ());
     h_alloca_zone = (fun _ _ -> Heap.Unsafe);
   }
-
-(* Telemetry: same event vocabulary and sinks as the simulator, but
-   timestamps are wall-clock microseconds since [set_telemetry]. *)
-let now_us t = (Unix.gettimeofday () -. t.t0) *. 1e6
-
-let tel_record t ~track ?name ?arg kind =
-  if Tel.Recorder.enabled t.tel then begin
-    Mutex.lock t.tel_mu;
-    Tel.Recorder.record t.tel ~at:(now_us t) ~track ?name ?arg kind;
-    Mutex.unlock t.tel_mu
-  end
 
 let add_trap t msg =
   Mutex.lock t.tr_mu;
@@ -180,6 +166,18 @@ let[@inline] obs_enter_index w p =
   | None -> ()
   | Some l -> Obs.Lane.enter_index l p ~now_us:(Obs.now_us ())
 
+(* One event on the worker's own lane ring: its domain is the single
+   writer. Chunk begins (arg = activation seq) are always-on; the rest
+   of the trace vocabulary, and the names, are recorded only while a
+   trace is attached. *)
+let lane_event t w code name arg =
+  match w.w_obs with
+  | Some l when code = Obs.Ring.code_chunk_begin || Option.is_some t.trace ->
+    let r = Obs.Lane.ring l in
+    let name = if Option.is_some t.trace then Obs.Ring.intern r name else 0 in
+    Obs.Ring.record_name r ~code ~name ~arg ~t_us:(Obs.now_us ())
+  | _ -> ()
+
 let pfunc_exn t key =
   match Dispatch.find_pfunc t.disp key with
   | Some pf -> pf
@@ -213,38 +211,26 @@ let rec worker t thread color : worker =
     w
   | None ->
     let machine = Sgx.Machine.create ?cost:t.cost t.config in
-    let track =
-      if Tel.Recorder.enabled t.tel then begin
-        Mutex.lock t.tel_mu;
-        let tr =
-          Tel.Recorder.fresh_track t.tel
-            (Printf.sprintf "d%d/%s" lane (Color.to_string color))
-        in
-        Mutex.unlock t.tel_mu;
-        tr
-      end
-      else 0
-    in
+    let label = Printf.sprintf "d%d/%s" lane (Color.to_string color) in
+    let lane_on ring = Some (Obs.Lane.create ~ring ~now_us:(Obs.now_us ())) in
     let w =
       {
         w_lane = lane;
         w_color = color;
         w_queue = Msq.create ();
         w_exec = Exec.clone_shared t.base ~machine ~hooks:dummy_hooks;
-        w_track = track;
         w_mail = [];
         w_act = None;
         w_occ = Hashtbl.create 16;
         w_domain = None;
         w_obs =
-          (if Obs.enabled () then
-             (* ring id = worker creation index: unique within the pool,
-                which is the unit rings get merged over *)
-             Some
-               (Obs.Lane.create ~id:t.domains
-                  ~label:(Printf.sprintf "d%d/%s" lane (Color.to_string color))
-                  ~now_us:(Obs.now_us ()) ())
-           else None);
+          (match t.trace with
+          | Some tr -> lane_on (Obs.Trace.ring tr label)
+          | None when Obs.enabled () ->
+            (* ring id = worker creation index: unique within the pool,
+               which is the unit rings get merged over *)
+            lane_on (Obs.Ring.create ~id:t.domains ~label ())
+          | None -> None);
       }
     in
     w.w_exec.Exec.cpu <- Dispatch.cpu_of_color color;
@@ -329,12 +315,12 @@ and wait_cont t w ~seq : Rvalue.t =
   in
   let v, rest = take [] w.w_mail in
   w.w_mail <- rest;
-  tel_record t ~track:w.w_track ~name:"retval" Tel.Event.Msg_recv;
+  lane_event t w Obs.Ring.code_msg_recv "retval" 0;
   v
 
 and send_cont t (from : worker) ~thread ~color ~seq v =
   let target = worker t thread color in
-  tel_record t ~track:from.w_track ~name:"retval" Tel.Event.Msg_send;
+  lane_event t from Obs.Ring.code_msg_send "retval" 0;
   Msq.push target.w_queue (Cont { c_seq = seq; c_value = v })
 
 (* The in-flight count covers every created chunk/entry; [call_entry] and
@@ -346,7 +332,7 @@ and send_spawn t (from : worker option) ~thread (act : activation)
   Atomic.incr act.act_pending;
   let target = worker t thread d in
   (match from with
-  | Some fw -> tel_record t ~track:fw.w_track ~name:"spawn" Tel.Event.Msg_send
+  | Some fw -> lane_event t fw Obs.Ring.code_msg_send "spawn" 0
   | None -> ());
   Msq.push target.w_queue
     (Spawn { sp_act = act; sp_args = args; sp_reply_to = reply_to; sp_forged = forged })
@@ -383,7 +369,7 @@ and exec_spawn t w (s : msg) =
       Atomic.decr t.inflight
     end
     else begin
-      tel_record t ~track:w.w_track ~name:"spawn" Tel.Event.Msg_recv;
+      lane_event t w Obs.Ring.code_msg_recv "spawn" 0;
       (* host order: spawned siblings of one activation serialize in color
          order, so declassifications flow forward deterministically *)
       let earlier =
@@ -412,14 +398,9 @@ and run_chunk t w (act : activation) (args : Rvalue.t array) : Rvalue.t =
   let f = chunk_for_exn act.act_pf w.w_color in
   let saved = w.w_act in
   w.w_act <- Some act;
-  tel_record t ~track:w.w_track ~name:f.Func.name Tel.Event.Chunk_begin;
   let obs_saved = obs_current w in
   obs_enter w Obs.Phase.Run;
-  (match w.w_obs with
-  | Some l ->
-    Obs.Ring.record (Obs.Lane.ring l) ~code:Obs.Ring.code_chunk
-      ~arg:act.act_seq ~t_us:(Obs.now_us ())
-  | None -> ());
+  lane_event t w Obs.Ring.code_chunk_begin f.Func.name act.act_seq;
   let finish () =
     w.w_act <- saved;
     obs_enter_index w obs_saved;
@@ -430,7 +411,7 @@ and run_chunk t w (act : activation) (args : Rvalue.t array) : Rvalue.t =
   in
   match Exec.exec_func w.w_exec f args with
   | r ->
-    tel_record t ~track:w.w_track ~name:f.Func.name Tel.Event.Chunk_end;
+    lane_event t w Obs.Ring.code_chunk_end f.Func.name act.act_seq;
     finish ();
     r
   | exception e ->
@@ -624,7 +605,7 @@ and barrier t w (act : activation) (instr : int) =
   Mutex.lock t.bar_mu;
   Hashtbl.replace t.bar_arrived (act.act_seq, instr, occ, me) ();
   Mutex.unlock t.bar_mu;
-  tel_record t ~track:w.w_track ~name:me Tel.Event.Barrier;
+  lane_event t w Obs.Ring.code_barrier me 0;
   let present = Dispatch.site_presence t.disp act.act_pf instr in
   let spawned d = List.exists (Color.equal d) act.act_spawned in
   let preds =
@@ -746,9 +727,7 @@ let create ?(config = Sgx.Config.machine_b) ?cost ?(lanes = 2) ?engine
     bar_mu = Mutex.create ();
     bar_arrived = Hashtbl.create 64;
     bar_done = Hashtbl.create 64;
-    tel_mu = Mutex.create ();
-    tel = Tel.Recorder.null;
-    t0 = Unix.gettimeofday ();
+    trace = None;
     domains = 0;
     entries_served = Atomic.make 0;
   }
@@ -881,9 +860,7 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
 
 let set_spawn_guard t enabled = t.guard <- enabled
 
-let set_telemetry t r =
-  t.tel <- r;
-  t.t0 <- Unix.gettimeofday ()
+let set_telemetry t tr = t.trace <- tr
 
 (* Quiesce, close every queue, join the domains. Returns [false] when the
    pool failed to quiesce in time — queues are closed anyway, but the
@@ -981,8 +958,6 @@ let obs_lanes t = List.filter_map (fun w -> w.w_obs) (sorted_workers t)
 let lane_breakdowns t =
   let now = Obs.now_us () in
   List.map (fun l -> Obs.Lane.snapshot l ~now_us:now) (obs_lanes t)
-
-let obs_events t = Obs.Ring.merge (List.map Obs.Lane.ring (obs_lanes t))
 
 let total_externs t =
   List.fold_left

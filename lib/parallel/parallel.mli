@@ -12,7 +12,6 @@
 open Privagic_pir
 open Privagic_vm
 module Sgx = Privagic_sgx
-module Tel = Privagic_telemetry
 
 exception Error of string
 
@@ -89,10 +88,10 @@ val inject_spawn :
 
 val set_spawn_guard : t -> bool -> unit
 
-(** Attach a telemetry recorder; events carry wall-clock microseconds
-    since this call. Attach before the first entry call — workers
-    created earlier recorded nothing. *)
-val set_telemetry : t -> Tel.Recorder.t -> unit
+(** Record into the trace: each worker's lane ring is a ring of the
+    trace, stamped in obs-epoch microseconds. Attach before the first
+    entry call — workers created earlier keep untraced rings. *)
+val set_telemetry : t -> Privagic_obs.Trace.t option -> unit
 
 (** {2 Observability (lib/obs)}
 
@@ -109,10 +108,6 @@ val obs_lanes : t -> Privagic_obs.Lane.t list
 
 (** Phase decomposition of each lane's wall time, snapshotted now. *)
 val lane_breakdowns : t -> Privagic_obs.Lane.breakdown list
-
-(** All worker rings merged into one deterministic timeline. Call on a
-    quiescent pool (see {!Privagic_obs.Ring.merge}). *)
-val obs_events : t -> Privagic_obs.Ring.event array
 
 (** Extern dispatches summed over the base executor and all workers. *)
 val total_externs : t -> int

@@ -30,7 +30,7 @@ type t = {
   window : int;
   keys : (string, Seal.key) Hashtbl.t;  (* per-color, derived lazily *)
   cluster : string;
-  span : string -> (unit -> unit) -> unit;
+  span : unit -> string -> (unit -> unit) -> unit;  (* per ship thread *)
   mu : Mutex.t;
   mutable conns : conn list;
   mutable threads : Thread.t list;
@@ -47,7 +47,7 @@ type t = {
   mutable m_seal_cycles : float;
 }
 
-let create ?(window = 1024) ?(cluster = "privagic") ?(span = fun _ f -> f ())
+let create ?(window = 1024) ?(cluster = "privagic") ?(span = fun () _ f -> f ())
     ~log () =
   if window < 1 then invalid_arg "Shipper.create: window must be positive";
   let metrics = Tel.Metrics.create () in
@@ -154,6 +154,7 @@ let pump_acks t c buf =
   | exception Unix.Unix_error _ -> false
 
 let ship_thread t c =
+  let span = t.span () in
   let buf = Bytes.create 4096 in
   let sealer ~color ~nonce payload =
     locked t (fun () ->
@@ -195,7 +196,7 @@ let ship_thread t c =
             (List.rev !sent);
           c.cursor <- stop + 1;
           t.m_shipped <- t.m_shipped + List.length !sent);
-      t.span "repl_ship" (fun () ->
+      span "repl_ship" (fun () ->
           ok := write_all c.fd (Buffer.contents frames));
       if !ok then ok := pump_acks t c buf
     end

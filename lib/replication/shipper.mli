@@ -20,12 +20,13 @@ type t
 
 (** [create ~log ()] — [window] bounds unacknowledged in-flight deltas
     per replica (default 1024); [cluster] is the shared secret sealing
-    keys derive from; [span name f] wraps shipping work in a telemetry
-    span (default: call [f] directly). *)
+    keys derive from; each ship thread calls [span ()] once and wraps its
+    shipping work in [span' name f], a trace span on a ring of its own
+    (default: call [f] directly). *)
 val create :
   ?window:int ->
   ?cluster:string ->
-  ?span:(string -> (unit -> unit) -> unit) ->
+  ?span:(unit -> string -> (unit -> unit) -> unit) ->
   log:Log.t ->
   unit ->
   t

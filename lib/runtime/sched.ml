@@ -10,14 +10,13 @@
    deterministic discrete-event execution: no wall clock, no races,
    reproducible benchmark numbers.
 
-   Telemetry: when a recorder is attached, every fiber lifecycle edge
+   Telemetry: when a cycle ring is attached, every fiber lifecycle edge
    (spawn, start, block, resume, finish) is recorded on the fiber's track
    — the happens-before skeleton the critical-path analyzer walks. The
    spawner controls track identity ([spawn ~track]) so several fibers of
-   one logical worker share a track; a disabled recorder costs one boolean
-   read per edge. *)
+   one logical worker share a track; no ring costs one match per edge. *)
 
-module Tel = Privagic_telemetry
+module Ring = Privagic_obs.Ring
 
 type _ Effect.t +=
   | Block : (unit -> bool) * (unit -> float) -> unit Effect.t
@@ -40,7 +39,7 @@ type worker = {
 type t = { mutable workers : worker list; mutable next_id : int;
            mutable steps : int;
            mutable high_water : float;      (* clocks of pruned fibers *)
-           mutable tel : Tel.Recorder.t;
+           mutable tel : Ring.t option;
            mutable running : worker option }
 
 (* How a [run] ended. [Blocked_workers] names the workers still waiting
@@ -56,9 +55,15 @@ exception Deadlock of string list
 
 let create () =
   { workers = []; next_id = 0; steps = 0; high_water = 0.0;
-    tel = Tel.Recorder.null; running = None }
+    tel = None; running = None }
 
 let set_telemetry t r = t.tel <- r
+
+let record t code (w : worker) arg =
+  match t.tel with
+  | Some r ->
+    Ring.record_cycles r ~code ~track:w.track ~name:0 ~arg (Vclock.get w.clock)
+  | None -> ()
 
 (* [parent] overrides the spawning track recorded with the fiber's
    Fiber_spawn event (default: the currently running worker, -1 when the
@@ -67,23 +72,23 @@ let set_telemetry t r = t.tel <- r
    how a request entering an already-busy thread is modeled. *)
 let spawn t ~name ?track ?parent ~at body =
   let track =
-    match track with
-    | Some k -> k
-    | None -> Tel.Recorder.fresh_track t.tel name
+    match (track, t.tel) with
+    | Some k, _ -> k
+    | None, Some r -> Ring.fresh_track r name
+    | None, None -> 0
   in
   let w =
     { wid = t.next_id; name; track; clock = Vclock.make at; state = Not_started body }
   in
   t.next_id <- t.next_id + 1;
   t.workers <- t.workers @ [ w ];
-  if Tel.Recorder.enabled t.tel then begin
-    let arg =
-      match parent with
-      | Some p -> p
-      | None -> ( match t.running with Some p -> p.track | None -> -1)
-    in
-    Tel.Recorder.record t.tel ~at ~track ~name ~arg Tel.Event.Fiber_spawn
-  end;
+  let parent =
+    match (parent, t.running) with
+    | Some p, _ -> p
+    | None, Some p -> p.track
+    | None, None -> -1
+  in
+  record t Ring.code_fiber_spawn w parent;
   w
 
 (* Called from inside a worker fiber: wait until [cond] holds; the clock
@@ -106,34 +111,25 @@ let handler (w : worker) =
   }
 
 let step_worker t w =
-  let tel_on = Tel.Recorder.enabled t.tel in
   t.running <- Some w;
   (match w.state with
   | Not_started body ->
     w.state <- Running;
-    if tel_on then
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track ~name:w.name
-        Tel.Event.Fiber_start;
+    record t Ring.code_fiber_start w 0;
     Effect.Deep.match_with (fun () -> body w.clock) () (handler w)
   | Blocked (_, arrival, k) ->
     let arr = arrival () in
     Vclock.set w.clock (Float.max (Vclock.get w.clock) arr);
     w.state <- Running;
-    if tel_on then
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track ~farg:arr
-        Tel.Event.Fiber_resume;
+    if Option.is_some t.tel then
+      record t Ring.code_fiber_resume w (Ring.stamp_of_float arr);
     Effect.Deep.continue k ()
   | Running | Finished -> invalid_arg "Sched.step_worker");
   t.running <- None;
-  if tel_on then (
-    match w.state with
-    | Blocked _ ->
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track
-        Tel.Event.Fiber_block
-    | Finished ->
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track ~name:w.name
-        Tel.Event.Fiber_finish
-    | Not_started _ | Running -> ())
+  match w.state with
+  | Blocked _ -> record t Ring.code_fiber_block w 0
+  | Finished -> record t Ring.code_fiber_finish w 0
+  | Not_started _ | Running -> ()
 
 let runnable w =
   match w.state with

@@ -9,13 +9,12 @@
     resumes the runnable worker with the smallest clock, which makes the
     simulation a deterministic discrete-event execution.
 
-    With a telemetry recorder attached ({!set_telemetry}), every fiber
-    lifecycle edge — spawn, start, block, resume, finish — is recorded on
-    the fiber's track, giving the critical-path analyzer its
-    happens-before skeleton. Disabled telemetry costs one boolean read
-    per edge. *)
+    With a cycle ring attached ({!set_telemetry}), every fiber lifecycle
+    edge — spawn, start, block, resume, finish — is recorded on the
+    fiber's track, giving the critical-path analyzer its happens-before
+    skeleton. No ring costs one match per edge. *)
 
-module Tel = Privagic_telemetry
+module Ring = Privagic_obs.Ring
 
 type worker_state =
   | Not_started of (Vclock.t -> unit)
@@ -37,7 +36,7 @@ type t = {
   mutable next_id : int;
   mutable steps : int;
   mutable high_water : float;
-  mutable tel : Tel.Recorder.t;
+  mutable tel : Ring.t option;
   mutable running : worker option;
 }
 
@@ -55,8 +54,8 @@ exception Deadlock of string list
 
 val create : unit -> t
 
-(** Attach a telemetry recorder (default: the shared disabled one). *)
-val set_telemetry : t -> Tel.Recorder.t -> unit
+(** Attach a cycle ring ([None], the default, records nothing). *)
+val set_telemetry : t -> Ring.t option -> unit
 
 (** [spawn t ~name ~at body] registers a fiber whose clock starts at [at];
     it runs when the scheduler first picks it. May be called from inside a

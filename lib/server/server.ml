@@ -183,7 +183,7 @@ type config = {
   policy : policy;
   max_batch : int;
   vsize : int;
-  telemetry : Tel.Recorder.t;
+  telemetry : Obs.Trace.t option;
   repl_window : int;
   repl_cluster : string;
 }
@@ -198,7 +198,7 @@ let default_config =
     policy = Block;
     max_batch = 8;
     vsize = 32;
-    telemetry = Tel.Recorder.null;
+    telemetry = None;
     repl_window = 1024;
     repl_cluster = "privagic";
   }
@@ -262,7 +262,7 @@ type shard = {
   sh_in_mu : Mutex.t;
   sh_incoming : conn Queue.t;       (* acceptor -> loop handoff *)
   mutable sh_conns : conn list;     (* owner loop only *)
-  sh_track : int;
+  sh_ring : Obs.Ring.t option;      (* request spans; owner loop only *)
 }
 
 type role = Primary | Replica_of of string
@@ -281,7 +281,6 @@ type t = {
   mutable t_role : role;
   n_applied : int Atomic.t;        (* deltas applied while a replica *)
   n_drain_timeouts : int Atomic.t; (* drain selects that hit their bound *)
-  tel_mu : Mutex.t;                (* the recorder is not thread-safe *)
   a_wake_r : Unix.file_descr;      (* acceptor self-pipe *)
   a_wake_w : Unix.file_descr;
   (* counters (Atomic: each is read/bumped from several domains) *)
@@ -589,20 +588,19 @@ let ship_and_fence t max_seq =
 (* ------------------------------------------------------------------ *)
 (* execution: one chunk of same-shard requests, under the shard latch *)
 
-let tel_span t track name f =
-  if t.cfg.telemetry == Tel.Recorder.null then f ()
-  else begin
-    Mutex.lock t.tel_mu;
-    Tel.Recorder.record t.cfg.telemetry ~at:(now_us t) ~track ~name
-      Tel.Event.Req_begin;
-    Mutex.unlock t.tel_mu;
-    let r = f () in
-    Mutex.lock t.tel_mu;
-    Tel.Recorder.record t.cfg.telemetry ~at:(now_us t) ~track ~name
-      Tel.Event.Req_end;
-    Mutex.unlock t.tel_mu;
-    r
-  end
+(* A request span on the calling thread's own ring, if traced. *)
+let tel_span ring name f =
+  match ring with
+  | None -> f ()
+  | Some r ->
+    let name = Obs.Ring.intern r name in
+    let mark code =
+      Obs.Ring.record_name r ~code ~name ~arg:0 ~t_us:(Obs.now_us ())
+    in
+    mark Obs.Ring.code_req_begin;
+    let v = f () in
+    mark Obs.Ring.code_req_end;
+    v
 
 (* Execute one chunk (all requests keyed to [sh]) under its latch, then
    fence, then fill the slots. Duplicate gets inside the chunk are
@@ -612,7 +610,7 @@ let tel_span t track name f =
    are signaled by the caller (it knows which owners to wake). *)
 let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
   let cache : (int, Protocol.response) Hashtbl.t = Hashtbl.create 8 in
-  let track = sh.sh_track in
+  let span name f = tel_span sh.sh_ring name f in
   Atomic.incr t.n_batches;
   (* highest delta seq committed by this chunk; 0 when it wrote nothing *)
   let max_seq = ref 0 in
@@ -655,7 +653,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
               | _ -> ());
               r
             | None ->
-              let r = tel_span t track "get" (fun () -> exec_get t sh k) in
+              let r = span "get" (fun () -> exec_get t sh k) in
               (match r with
               | Protocol.Value _ -> Atomic.incr t.n_hits
               | _ -> ());
@@ -663,7 +661,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
               r)
           | Protocol.Set (k, v) ->
             Atomic.incr t.n_sets;
-            let r = tel_span t track "set" (fun () -> commit_set t sh k v) in
+            let r = span "set" (fun () -> commit_set t sh k v) in
             (match r with
             | Protocol.Stored ->
               committed
@@ -674,7 +672,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
             r
           | Protocol.Del k ->
             Atomic.incr t.n_dels;
-            let r = tel_span t track "del" (fun () -> commit_del t sh k) in
+            let r = span "del" (fun () -> commit_del t sh k) in
             (match r with
             | Protocol.Deleted ->
               (* Not_found has no visible effect, so it ships no delta *)
@@ -687,7 +685,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
             Atomic.incr t.n_getv;
             (* version first: both are read under the same latch hold *)
             let ver = Txn.version sh.sh_txn k in
-            match tel_span t track "getv" (fun () -> exec_get t sh k) with
+            match span "getv" (fun () -> exec_get t sh k) with
             | Protocol.Value (_, v) ->
               Atomic.incr t.n_hits;
               Protocol.Version { v_key = k; v_ver = ver; v_val = Some v }
@@ -697,7 +695,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
           | Protocol.Cas { c_key; c_ver; c_val } -> (
             Atomic.incr t.n_cas;
             let r =
-              tel_span t track "cas" (fun () ->
+              span "cas" (fun () ->
                   Txn.execute sh.sh_txn (txn_store_ops t sh)
                     [ Txn.T_cas (c_key, c_ver, c_val) ])
             in
@@ -726,7 +724,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
                inline at the owner (the 2PC barrier path) *)
             Atomic.incr t.n_txns;
             let r =
-              tel_span t track "txn" (fun () ->
+              span "txn" (fun () ->
                   Txn.execute sh.sh_txn (txn_store_ops t sh) ops)
             in
             match r with
@@ -815,7 +813,7 @@ let exec_txn_2pc t s ops =
   let resp =
     with_latches t ids (fun () ->
         match
-          tel_span t s.sh_track "txn2pc" (fun () ->
+          tel_span s.sh_ring "txn2pc" (fun () ->
               Txn.execute_routed ~route ~coord ops)
         with
         | Txn.Committed (results, writes) ->
@@ -839,7 +837,7 @@ let exec_txn_2pc t s ops =
 let exec_scan t s ~start ~stop ~limit =
   Atomic.incr t.n_scans;
   let items =
-    tel_span t s.sh_track "scan" (fun () ->
+    tel_span s.sh_ring "scan" (fun () ->
         let per =
           Array.fold_left
             (fun acc sh ->
@@ -1436,25 +1434,11 @@ let start ?replica_of cfg bnd (stores : store array) =
   in
   let metrics = Tel.Metrics.create () in
   let started_at = Unix.gettimeofday () in
-  let tel_mu = Mutex.create () in
-  (* the shipper threads record their sends on a track of their own *)
-  let repl_span =
-    if cfg.telemetry == Tel.Recorder.null then fun _ f -> f ()
-    else begin
-      let track = Tel.Recorder.fresh_track cfg.telemetry "srv/repl" in
-      let record name ev =
-        Mutex.lock tel_mu;
-        Tel.Recorder.record cfg.telemetry
-          ~at:((Unix.gettimeofday () -. started_at) *. 1e6)
-          ~track ~name ev;
-        Mutex.unlock tel_mu
-      in
-      fun name f ->
-        record name Tel.Event.Req_begin;
-        f ();
-        record name Tel.Event.Req_end
-    end
+  let ring label =
+    Option.map (fun tr -> Obs.Trace.ring tr label) cfg.telemetry
   in
+  (* each ship thread records its sends into a ring of its own *)
+  let repl_span () = tel_span (ring "srv/repl") in
   let repl_log = Repl.Log.create () in
   let hub =
     Repl.Shipper.create ~window:cfg.repl_window ~cluster:cfg.repl_cluster
@@ -1491,11 +1475,7 @@ let start ?replica_of cfg bnd (stores : store array) =
           sh_in_mu = Mutex.create ();
           sh_incoming = Queue.create ();
           sh_conns = [];
-          sh_track =
-            (if cfg.telemetry == Tel.Recorder.null then 0
-             else
-               Tel.Recorder.fresh_track cfg.telemetry
-                 (Printf.sprintf "srv/shard%d" i));
+          sh_ring = ring (Printf.sprintf "srv/shard%d" i);
         })
   in
   let a_wake_r, a_wake_w = mk_pipe () in
@@ -1516,7 +1496,6 @@ let start ?replica_of cfg bnd (stores : store array) =
         | None -> Primary);
       n_applied = Atomic.make 0;
       n_drain_timeouts = Atomic.make 0;
-      tel_mu;
       a_wake_r;
       a_wake_w;
       conns_accepted = Atomic.make 0;

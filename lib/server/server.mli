@@ -80,7 +80,9 @@ type config = {
   policy : policy;
   max_batch : int;          (** requests executed per latch hold *)
   vsize : int;              (** value-buffer size of the program *)
-  telemetry : Tel.Recorder.t;
+  telemetry : Privagic_obs.Trace.t option;
+      (** each shard loop and ship thread records its spans into a
+          ring of its own *)
   repl_window : int;        (** in-flight deltas per replica (default 1024) *)
   repl_cluster : string;    (** sealing-key derivation secret *)
 }

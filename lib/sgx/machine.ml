@@ -36,7 +36,7 @@ let fresh_counters () =
     threads_spawned = 0;
   }
 
-module Tel = Privagic_telemetry
+module Ring = Privagic_obs.Ring
 
 type t = {
   config : Config.t;
@@ -49,9 +49,9 @@ type t = {
       (* per-machine access trace for debugging cache behaviour; a field
          (not a global) so two machines in one harness run cannot clobber
          each other's hooks *)
-  mutable tel : Tel.Recorder.t;
-      (* transition/fault events; timestamps and tracks come from the
-         recorder's context, maintained by the VM *)
+  mutable tel : (Ring.t * (unit -> float)) option;
+      (* transition/fault events, stamped by the clock on the ring's
+         current track; both are maintained by the VM *)
 }
 
 let create ?(cost = Cost.default) (config : Config.t) =
@@ -69,12 +69,18 @@ let create ?(cost = Cost.default) (config : Config.t) =
         ~assoc:16;
     c = fresh_counters ();
     trace = None;
-    tel = Tel.Recorder.null;
+    tel = None;
   }
 
 let set_trace m f = m.trace <- f
 
 let set_telemetry m r = m.tel <- r
+
+let here m code arg =
+  match m.tel with
+  | Some (r, now) ->
+    Ring.record_cycles r ~code ~track:(Ring.track r) ~name:0 ~arg (now ())
+  | None -> ()
 
 (* Cost of executing [n] plain instructions. *)
 let instr_cost m n =
@@ -123,8 +129,7 @@ let mem_cost m ~cpu ~data addr size =
     let faults = Cache.access_misses m.epc addr size in
     if faults > 0 then begin
       m.c.epc_faults <- m.c.epc_faults + faults;
-      if Tel.Recorder.enabled m.tel then
-        Tel.Recorder.here m.tel ~arg:faults Tel.Event.Epc_fault;
+      here m Ring.code_epc_fault faults;
       cost +. (m.cost.Cost.epc_fault *. float_of_int faults)
     end
     else cost
@@ -133,38 +138,33 @@ let mem_cost m ~cpu ~data addr size =
 
 let ecall_cost m =
   m.c.ecalls <- m.c.ecalls + 1;
-  if Tel.Recorder.enabled m.tel then Tel.Recorder.here m.tel Tel.Event.Ecall;
+  here m Ring.code_ecall 0;
   m.cost.Cost.ecall
 
 let switchless_cost m =
   m.c.switchless_calls <- m.c.switchless_calls + 1;
-  if Tel.Recorder.enabled m.tel then
-    Tel.Recorder.here m.tel Tel.Event.Switchless;
+  here m Ring.code_switchless 0;
   m.cost.Cost.switchless_lock
 
 let queue_msg_cost m =
   m.c.queue_msgs <- m.c.queue_msgs + 1;
-  if Tel.Recorder.enabled m.tel then
-    Tel.Recorder.here m.tel Tel.Event.Queue_msg;
+  here m Ring.code_queue_msg 0;
   m.cost.Cost.queue_msg
 
 let syscall_cost m ~zone =
   match zone with
   | Normal ->
     m.c.syscalls <- m.c.syscalls + 1;
-    if Tel.Recorder.enabled m.tel then
-      Tel.Recorder.here m.tel Tel.Event.Syscall;
+    here m Ring.code_syscall 0;
     m.cost.Cost.syscall
   | Enclave _ ->
     m.c.enclave_syscalls <- m.c.enclave_syscalls + 1;
-    if Tel.Recorder.enabled m.tel then
-      Tel.Recorder.here m.tel Tel.Event.Ocall;
+    here m Ring.code_ocall 0;
     m.cost.Cost.enclave_syscall
 
 let thread_spawn_cost m =
   m.c.threads_spawned <- m.c.threads_spawned + 1;
-  if Tel.Recorder.enabled m.tel then
-    Tel.Recorder.here m.tel Tel.Event.Thread_spawn;
+  here m Ring.code_thread_spawn 0;
   m.cost.Cost.thread_spawn
 
 let counters m = m.c

@@ -22,7 +22,7 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
-module Tel = Privagic_telemetry
+module Ring = Privagic_obs.Ring
 
 type t = {
   config : Config.t;
@@ -32,7 +32,7 @@ type t = {
   epc : Cache.t;
   c : counters;
   mutable trace : (int * int -> unit) option;
-  mutable tel : Tel.Recorder.t;
+  mutable tel : (Ring.t * (unit -> float)) option;
 }
 
 val create : ?cost:Cost.t -> Config.t -> t
@@ -43,10 +43,11 @@ val create : ?cost:Cost.t -> Config.t -> t
     partitioned) cannot clobber each other's hooks. *)
 val set_trace : t -> (int * int -> unit) option -> unit
 
-(** Attach a telemetry recorder; transition and fault events (ecalls,
-    ocalls, switchless calls, queue messages, EPC faults, thread spawns)
-    are recorded with the recorder's current clock/track context. *)
-val set_telemetry : t -> Tel.Recorder.t -> unit
+(** Attach a cycle ring and the clock that stamps it; transition and
+    fault events (ecalls, ocalls, switchless calls, queue messages, EPC
+    faults, thread spawns) are recorded on the ring's current track,
+    which the VM keeps on the running worker. [None] detaches. *)
+val set_telemetry : t -> (Ring.t * (unit -> float)) option -> unit
 
 val instr_cost : t -> int -> float
 

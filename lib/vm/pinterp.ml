@@ -24,7 +24,7 @@ open Privagic_partition
 module Sgx = Privagic_sgx
 module Sched = Privagic_runtime.Sched
 module Vclock = Privagic_runtime.Vclock
-module Tel = Privagic_telemetry
+module Ring = Privagic_obs.Ring
 
 exception Error of string
 
@@ -38,7 +38,7 @@ type mail = { sent_at : float; flow : int; payload : payload }
 type worker = {
   w_thread : int;
   w_color : Color.t;
-  w_track : int;                  (* telemetry track of this worker *)
+  w_track : int;                  (* trace track of this worker *)
   mutable w_mail : mail list;
 }
 
@@ -63,7 +63,7 @@ type activation = {
   act_participants : Color.t list;   (* P: colors executing this instance *)
   mutable act_pending : int;         (* spawned fibers still running *)
   mutable act_done_max : float;      (* latest completion among spawned *)
-  mutable act_done_flow : int;       (* telemetry flow of that completion *)
+  mutable act_done_flow : int;       (* trace flow of that completion *)
   mutable act_colors_done : Color.t list; (* spawned chunks completed *)
 }
 
@@ -72,17 +72,6 @@ type fiber_ctx = {
   mutable act : activation;
   clock : Vclock.t;
 }
-
-(* Execution trace: the message/chunk schedule of a request, in virtual
-   time — the runtime's own Figure 7. *)
-type event =
-  | Ev_spawn of { target : Color.t; chunk : string }
-  | Ev_cont of { target : Color.t; tag : string }
-  | Ev_chunk_start of { color : Color.t; chunk : string }
-  | Ev_chunk_end of { color : Color.t; chunk : string }
-  | Ev_barrier of { color : Color.t }
-
-type traced_event = { ev_at : float; ev : event }
 
 type t = {
   plan : Plan.t;
@@ -96,8 +85,7 @@ type t = {
   mutable next_thread : int;
   mutable traps : string list;
   mutable guard : bool;  (* §8 extension: valid-spawn-sequence guard *)
-  mutable trace : traced_event list option; (* newest first when tracing *)
-  mutable tel : Tel.Recorder.t;  (* structured telemetry (off by default) *)
+  mutable tel : Ring.t option;  (* the VM's cycle ring (off by default) *)
 }
 
 let cpu_of_color = Dispatch.cpu_of_color
@@ -108,8 +96,11 @@ let worker t thread color =
   | Some w -> w
   | None ->
     let track =
-      Tel.Recorder.fresh_track t.tel
-        (Printf.sprintf "t%d/%s" thread (Color.to_string color))
+      match t.tel with
+      | Some r ->
+        Ring.fresh_track r
+          (Printf.sprintf "t%d/%s" thread (Color.to_string color))
+      | None -> 0
     in
     let w = { w_thread = thread; w_color = color; w_track = track;
               w_mail = [] } in
@@ -128,19 +119,21 @@ let restore t (ctx : fiber_ctx) =
   t.current <- Some ctx;
   t.exec.Exec.clock <- ctx.clock;
   t.exec.Exec.cpu <- cpu_of_color ctx.worker.w_color;
-  (* keep the machine's telemetry context on the right worker track *)
-  if Tel.Recorder.enabled t.tel then
-    Tel.Recorder.set_track t.tel ctx.worker.w_track
+  (* keep the machine's events on the right worker track *)
+  match t.tel with Some r -> Ring.set_track r ctx.worker.w_track | None -> ()
 
 let ctx_exn t =
   match t.current with
   | Some c -> c
   | None -> raise (Error "no current fiber")
 
-let record t at ev =
-  match t.trace with
-  | Some evs -> t.trace <- Some ({ ev_at = at; ev } :: evs)
+let record t code ~track ~name ~arg at =
+  match t.tel with
+  | Some r ->
+    Ring.record_cycles r ~code ~track ~name:(Ring.intern r name) ~arg at
   | None -> ()
+
+let fresh_flow t = match t.tel with Some r -> Ring.fresh_flow r | None -> -1
 
 (* ------------------------------------------------------------------ *)
 (* messaging *)
@@ -149,16 +142,9 @@ let send_cont t (ctx : fiber_ctx) (target : worker) ~seq ~tag ~value =
   let cost = t.crossing t.exec.Exec.machine in
   Vclock.add ctx.clock (cost);
   let tag_name = match tag with Retval -> "retval" | Token -> "token" in
-  record t (Vclock.get ctx.clock) (Ev_cont { target = target.w_color; tag = tag_name });
-  let flow =
-    if Tel.Recorder.enabled t.tel then begin
-      let f = Tel.Recorder.fresh_flow t.tel in
-      Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:ctx.worker.w_track
-        ~name:tag_name ~arg:f Tel.Event.Msg_send;
-      f
-    end
-    else -1
-  in
+  let flow = fresh_flow t in
+  record t Ring.code_msg_send ~track:ctx.worker.w_track ~name:tag_name
+    ~arg:flow (Vclock.get ctx.clock);
   target.w_mail <-
     target.w_mail
     @ [ { sent_at = (Vclock.get ctx.clock); flow; payload = Cont { seq; tag; value } } ]
@@ -184,9 +170,9 @@ let wait_cont t (ctx : fiber_ctx) ~seq ~tag : Rvalue.t =
   in
   w.w_mail <- List.filter (fun m -> not (m == msg)) w.w_mail;
   Vclock.set ctx.clock (Float.max (Vclock.get ctx.clock) msg.sent_at);
-  if Tel.Recorder.enabled t.tel && msg.flow >= 0 then
-    Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:w.w_track ~arg:msg.flow
-      Tel.Event.Msg_recv;
+  if msg.flow >= 0 then
+    record t Ring.code_msg_recv ~track:w.w_track ~name:"" ~arg:msg.flow
+      (Vclock.get ctx.clock);
   match msg.payload with Cont c -> c.value
 
 (* ------------------------------------------------------------------ *)
@@ -224,15 +210,12 @@ let rec exec_chunk t (ctx : fiber_ctx) (act : activation) (c : Color.t)
   let saved = ctx.act in
   ctx.act <- act;
   let f = chunk_for act.act_pf c in
-  record t (Vclock.get ctx.clock) (Ev_chunk_start { color = c; chunk = f.Func.name });
-  if Tel.Recorder.enabled t.tel then
-    Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:ctx.worker.w_track
-      ~name:f.Func.name Tel.Event.Chunk_begin;
+  let track = ctx.worker.w_track in
+  record t Ring.code_chunk_begin ~track ~name:f.Func.name ~arg:0
+    (Vclock.get ctx.clock);
   let r = Exec.exec_func t.exec f args in
-  record t (Vclock.get ctx.clock) (Ev_chunk_end { color = c; chunk = f.Func.name });
-  if Tel.Recorder.enabled t.tel then
-    Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:ctx.worker.w_track
-      ~name:f.Func.name Tel.Event.Chunk_end;
+  record t Ring.code_chunk_end ~track ~name:f.Func.name ~arg:0
+    (Vclock.get ctx.clock);
   ctx.act <- saved;
   r
 
@@ -259,29 +242,22 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
       (Infer.instance_name act.act_key)
   in
   act.act_pending <- act.act_pending + 1;
-  record t at (Ev_spawn { target = c; chunk = chunk_name });
   (* spawn message: sender is whatever worker is currently running (the
      spawner), receiver is the fresh fiber on [w] *)
-  let spawn_flow =
-    if Tel.Recorder.enabled t.tel then begin
-      let f = Tel.Recorder.fresh_flow t.tel in
-      let from_track =
-        match t.current with Some ctx -> ctx.worker.w_track | None -> w.w_track
-      in
-      Tel.Recorder.record t.tel ~at ~track:from_track ~name:"spawn" ~arg:f
-        Tel.Event.Msg_send;
-      f
-    end
-    else -1
+  let spawn_flow = fresh_flow t in
+  let from_track =
+    match t.current with Some ctx -> ctx.worker.w_track | None -> w.w_track
   in
+  record t Ring.code_msg_send ~track:from_track ~name:"spawn"
+    ~arg:spawn_flow at;
   let earlier = List.filter (fun d -> Color.compare d c < 0) siblings in
   ignore
     (Sched.spawn t.sched ~name ~track:w.w_track ~at (fun clock ->
          let ctx = { worker = w; act; clock } in
          restore t ctx;
          if spawn_flow >= 0 then
-           Tel.Recorder.record t.tel ~at:(Vclock.get clock) ~track:w.w_track
-             ~name:"spawn" ~arg:spawn_flow Tel.Event.Msg_recv;
+           record t Ring.code_msg_recv ~track:w.w_track ~name:"spawn"
+             ~arg:spawn_flow (Vclock.get clock);
          if earlier <> [] then begin
            Sched.block
              (fun () ->
@@ -292,13 +268,9 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
            restore t ctx;
            let waited = (Vclock.get clock) < act.act_done_max in
            Vclock.set clock (Float.max (Vclock.get clock) act.act_done_max);
-           if
-             waited
-             && Tel.Recorder.enabled t.tel
-             && act.act_done_flow >= 0
-           then
-             Tel.Recorder.record t.tel ~at:(Vclock.get clock) ~track:w.w_track
-               ~name:"done" ~arg:act.act_done_flow Tel.Event.Msg_recv
+           if waited && act.act_done_flow >= 0 then
+             record t Ring.code_msg_recv ~track:w.w_track ~name:"done"
+               ~arg:act.act_done_flow (Vclock.get clock)
          end;
          (match exec_chunk t ctx act c args with
          | r ->
@@ -314,11 +286,11 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
          (* completion signal back to the spawner (one crossing) *)
          Vclock.add ctx.clock (t.crossing t.exec.Exec.machine);
          act.act_pending <- act.act_pending - 1;
-         if (Vclock.get ctx.clock) >= act.act_done_max && Tel.Recorder.enabled t.tel
+         if Vclock.get ctx.clock >= act.act_done_max && Option.is_some t.tel
          then begin
-           let f = Tel.Recorder.fresh_flow t.tel in
-           Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:w.w_track
-             ~name:"done" ~arg:f Tel.Event.Msg_send;
+           let f = fresh_flow t in
+           record t Ring.code_msg_send ~track:w.w_track ~name:"done" ~arg:f
+             (Vclock.get ctx.clock);
            act.act_done_flow <- f
          end;
          act.act_done_max <- Float.max act.act_done_max (Vclock.get ctx.clock);
@@ -336,10 +308,9 @@ and host_wait_spawned ?(bump = true) t (ctx : fiber_ctx) (act : activation) =
     if bump && Color.is_enclave ctx.worker.w_color then begin
       let waited = (Vclock.get ctx.clock) < act.act_done_max in
       Vclock.set ctx.clock (Float.max (Vclock.get ctx.clock) act.act_done_max);
-      if waited && Tel.Recorder.enabled t.tel && act.act_done_flow >= 0 then
-        Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock)
-          ~track:ctx.worker.w_track ~name:"done" ~arg:act.act_done_flow
-          Tel.Event.Msg_recv
+      if waited && act.act_done_flow >= 0 then
+        record t Ring.code_msg_recv ~track:ctx.worker.w_track ~name:"done"
+          ~arg:act.act_done_flow (Vclock.get ctx.clock)
     end
   end
 
@@ -544,11 +515,9 @@ let make_hooks t : Exec.hooks =
           when Dispatch.barrier_at ctx.act.act_pf i.Instr.id
                  ~participants:ctx.act.act_participants ->
           Exec.charge ex (t.crossing ex.Exec.machine);
-          record t (Vclock.get ctx.clock) (Ev_barrier { color = ctx.worker.w_color });
-          if Tel.Recorder.enabled t.tel then
-            Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock)
-              ~track:ctx.worker.w_track
-              ~name:(Color.to_string ctx.worker.w_color) Tel.Event.Barrier
+          record t Ring.code_barrier ~track:ctx.worker.w_track
+            ~name:(Color.to_string ctx.worker.w_color) ~arg:0
+            (Vclock.get ctx.clock)
         | _ -> ());
     h_alloca_zone =
       (fun _ ty ->
@@ -595,8 +564,7 @@ let create ?(config = Sgx.Config.machine_b) ?cost
       next_thread = 1;
       traps = [];
       guard = true;
-      trace = None;
-      tel = Tel.Recorder.null;
+      tel = None;
     }
   in
   ex.Exec.hooks <- make_hooks t;
@@ -607,14 +575,15 @@ let create ?(config = Sgx.Config.machine_b) ?cost
   | Exec.Walk -> ());
   t
 
-(* Attach a telemetry recorder to every layer: the scheduler records
-   fiber lifecycle events, the machine records transition/fault events,
-   and the recorder's clock follows the currently running worker. *)
-let set_telemetry t (r : Tel.Recorder.t) =
-  t.tel <- r;
-  Sched.set_telemetry t.sched r;
-  Sgx.Machine.set_telemetry t.exec.Exec.machine r;
-  Tel.Recorder.set_now r (fun () -> (Vclock.get t.exec.Exec.clock))
+(* Record into one fresh cycle ring of [tr] from every layer: the
+   scheduler records fiber lifecycle events, the machine records
+   transition/fault events stamped by the running worker's clock. *)
+let set_telemetry t tr =
+  let ring = Option.map Privagic_obs.Trace.vm_ring tr in
+  t.tel <- ring;
+  Sched.set_telemetry t.sched ring;
+  Sgx.Machine.set_telemetry t.exec.Exec.machine
+    (Option.map (fun r -> (r, fun () -> Vclock.get t.exec.Exec.clock)) ring)
 
 (* ------------------------------------------------------------------ *)
 (* entry points *)
@@ -699,13 +668,10 @@ let call_entry t ?(thread = 0) ?max_steps name (args : Rvalue.t list) :
             enclave finished last, its completion signal gates the
             response — a binding happens-before edge *)
          let finish = Float.max (Vclock.get ctx.clock) act.act_done_max in
-         if
-           Tel.Recorder.enabled t.tel
-           && act.act_done_max > (Vclock.get ctx.clock)
-           && act.act_done_flow >= 0
+         if act.act_done_max > Vclock.get ctx.clock && act.act_done_flow >= 0
          then
-           Tel.Recorder.record t.tel ~at:finish ~track:uw.w_track
-             ~name:"done" ~arg:act.act_done_flow Tel.Event.Msg_recv;
+           record t Ring.code_msg_recv ~track:uw.w_track ~name:"done"
+             ~arg:act.act_done_flow finish;
          slot := Some (r, finish);
          let tc = thread_clock t thread in
          Vclock.set tc (Float.max (Vclock.get tc) finish)));
@@ -782,35 +748,35 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
 let set_spawn_guard t enabled = t.guard <- enabled
 
 (* ------------------------------------------------------------------ *)
-(* execution tracing *)
+(* the message/chunk schedule of a trace, in virtual time — the
+   runtime's own Figure 7 *)
 
-let start_trace t = t.trace <- Some []
-
-let stop_trace t : traced_event list =
-  let evs = match t.trace with Some evs -> List.rev evs | None -> [] in
-  t.trace <- None;
-  evs
-
-let pp_event fmt (te : traced_event) =
-  let open Format in
-  match te.ev with
-  | Ev_spawn { target; chunk } ->
-    fprintf fmt "%10.0f  spawn  -> %-6s %s" te.ev_at (Color.to_string target)
-      chunk
-  | Ev_cont { target; tag } ->
-    fprintf fmt "%10.0f  cont   -> %-6s (%s)" te.ev_at
-      (Color.to_string target) tag
-  | Ev_chunk_start { color; chunk } ->
-    fprintf fmt "%10.0f  start  in %-6s %s" te.ev_at (Color.to_string color)
-      chunk
-  | Ev_chunk_end { color; chunk } ->
-    fprintf fmt "%10.0f  end    in %-6s %s" te.ev_at (Color.to_string color)
-      chunk
-  | Ev_barrier { color } ->
-    fprintf fmt "%10.0f  barrier in %-6s (visible effect)" te.ev_at
-      (Color.to_string color)
-
-let pp_trace fmt (evs : traced_event list) =
+let pp_schedule fmt tr =
+  let module Tr = Privagic_obs.Trace in
+  let evs = Array.to_list (Tr.events tr) in
+  let name = Tr.track_name tr in
+  let recv_track = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Ring.event) ->
+      if e.ev_code = Ring.code_msg_recv then
+        Hashtbl.replace recv_track e.ev_arg e.ev_track)
+    evs;
   Format.fprintf fmt "%10s  %s@." "cycles" "event";
-  List.iter (fun te -> Format.fprintf fmt "%a@." pp_event te)
-    (List.sort (fun a b -> Float.compare a.ev_at b.ev_at) evs)
+  List.iter
+    (fun (e : Ring.event) ->
+      let line what detail =
+        Format.fprintf fmt "%10.0f  %-7s %-8s %s@." e.ev_at what
+          (name e.ev_track) detail
+      in
+      let c = e.ev_code in
+      if c = Ring.code_msg_send then
+        line "send"
+          (match Hashtbl.find_opt recv_track e.ev_arg with
+          | Some k -> e.ev_name ^ " -> " ^ name k
+          | None -> e.ev_name)
+      else if c = Ring.code_chunk_begin then line "start" e.ev_name
+      else if c = Ring.code_chunk_end then line "end" e.ev_name
+      else if c = Ring.code_barrier then line "barrier" "(visible effect)")
+    (List.stable_sort
+       (fun (a : Ring.event) b -> Float.compare a.ev_at b.ev_at)
+       evs)

@@ -14,7 +14,7 @@ open Privagic_secure
 open Privagic_partition
 module Sgx = Privagic_sgx
 module Sched = Privagic_runtime.Sched
-module Tel = Privagic_telemetry
+module Ring = Privagic_obs.Ring
 
 exception Error of string
 
@@ -26,7 +26,7 @@ type mail = { sent_at : float; flow : int; payload : payload }
 type worker = {
   w_thread : int;
   w_color : Color.t;
-  w_track : int;  (** telemetry track of this worker *)
+  w_track : int;  (** trace track of this worker *)
   mutable w_mail : mail list;
 }
 
@@ -47,16 +47,6 @@ type fiber_ctx = {
   clock : Privagic_runtime.Vclock.t;
 }
 
-(** Execution trace events (the runtime's own Figure 7). *)
-type event =
-  | Ev_spawn of { target : Color.t; chunk : string }
-  | Ev_cont of { target : Color.t; tag : string }
-  | Ev_chunk_start of { color : Color.t; chunk : string }
-  | Ev_chunk_end of { color : Color.t; chunk : string }
-  | Ev_barrier of { color : Color.t }
-
-type traced_event = { ev_at : float; ev : event }
-
 type t = {
   plan : Plan.t;
   exec : Exec.t;
@@ -69,8 +59,7 @@ type t = {
   mutable next_thread : int;
   mutable traps : string list;
   mutable guard : bool;
-  mutable trace : traced_event list option;
-  mutable tel : Tel.Recorder.t;
+  mutable tel : Ring.t option;
 }
 
 (** Build the VM for a plan; [crossing] prices one boundary message
@@ -86,11 +75,11 @@ val create :
   Plan.t ->
   t
 
-(** Attach a telemetry recorder across every layer of the VM: the
-    scheduler (fiber lifecycle), the message layer (send/recv flows), the
-    machine (transition and fault events), and the recorder's clock
-    context. Pass {!Tel.Recorder.null} to detach. *)
-val set_telemetry : t -> Tel.Recorder.t -> unit
+(** Record into one fresh cycle ring of the trace from every layer of
+    the VM: the scheduler (fiber lifecycle), the message layer
+    (send/recv flows), chunk spans, barriers and the machine (transition
+    and fault events). [None] detaches. *)
+val set_telemetry : t -> Privagic_obs.Trace.t option -> unit
 
 type entry_result = {
   value : Rvalue.t;
@@ -121,10 +110,7 @@ val inject_spawn :
 
 val set_spawn_guard : t -> bool -> unit
 
-(** Tracing: [start_trace] begins recording; [stop_trace] returns the
-    events in emission order and stops recording. *)
-val start_trace : t -> unit
-
-val stop_trace : t -> traced_event list
-val pp_event : Format.formatter -> traced_event -> unit
-val pp_trace : Format.formatter -> traced_event list -> unit
+(** Print a trace's message/chunk schedule in virtual time (the
+    runtime's own Figure 7): message sends with the receiving worker,
+    chunk starts and ends, barriers. *)
+val pp_schedule : Format.formatter -> Privagic_obs.Trace.t -> unit

@@ -1,8 +1,8 @@
-(* The observability layer (DESIGN.md §8.12): event-ring wraparound and
+(* The event stack (DESIGN.md §8.6): event-ring wraparound and
    deterministic merge, concurrent ring writers on real domains, the
-   zero-allocation record path, lane phase-accounting arithmetic, the
-   registry's Prometheus exposition grammar, and the 'stats metrics'
-   protocol verb. *)
+   zero-allocation record path, trace-wide tracks and flows, lane
+   phase-accounting arithmetic, the registry's Prometheus exposition
+   grammar, and the 'stats metrics' protocol verb. *)
 
 module Obs = Privagic_obs
 module Ring = Privagic_obs.Ring
@@ -38,7 +38,7 @@ let test_ring_wraparound () =
     (fun k e ->
       Alcotest.(check int) "oldest-first arg" (12 + k) e.Ring.ev_arg;
       Alcotest.(check int) "seq" (12 + k) e.Ring.ev_seq;
-      Alcotest.(check int) "ts" (112 + k) e.Ring.ev_t_us)
+      Alcotest.(check (float 0.0)) "ts" (float_of_int (112 + k)) e.Ring.ev_at)
     evs
 
 let test_ring_cap_rounding () =
@@ -76,8 +76,8 @@ let test_concurrent_merge () =
       if k > 0 then begin
         let p = a.(k - 1) in
         let ordered =
-          p.Ring.ev_t_us < e.Ring.ev_t_us
-          || (p.Ring.ev_t_us = e.Ring.ev_t_us
+          p.Ring.ev_at < e.Ring.ev_at
+          || (p.Ring.ev_at = e.Ring.ev_at
              && (p.Ring.ev_ring < e.Ring.ev_ring
                 || (p.Ring.ev_ring = e.Ring.ev_ring
                    && p.Ring.ev_seq < e.Ring.ev_seq)))
@@ -90,26 +90,81 @@ let test_concurrent_merge () =
 (* --- ring: zero allocation on the record path --- *)
 
 let test_zero_alloc_record () =
-  let minor_words_for n =
-    let r = Ring.create ~cap:64 ~id:9 ~label:"z" () in
-    Ring.record r ~code:0 ~arg:0 ~t_us:0;
+  let minor_words_for n record =
+    record 0;
     let w0 = Gc.minor_words () in
     for i = 1 to n do
-      Ring.record r ~code:1 ~arg:i ~t_us:i
+      record i
     done;
     Gc.minor_words () -. w0
   in
   (* both measurements carry the same constant harness cost (the boxed
      floats of Gc.minor_words itself); any per-record allocation would
      make the 50x loop strictly larger *)
-  let small = minor_words_for 1_000 in
-  let large = minor_words_for 50_000 in
-  Alcotest.(check (float 0.0)) "per-record allocation is zero" small large
+  let check what record =
+    let small = minor_words_for 1_000 record in
+    let large = minor_words_for 50_000 record in
+    Alcotest.(check (float 0.0)) what small large
+  in
+  let r = Ring.create ~cap:64 ~id:9 ~label:"z" () in
+  check "per-record allocation is zero" (fun i ->
+      Ring.record r ~code:1 ~arg:i ~t_us:i);
+  (* a traced VM event: explicit track, interned name, cycle stamp *)
+  let vm = Ring.Trace.vm_ring (Ring.Trace.create ~cap:64 ()) in
+  let track = Ring.fresh_track vm "t0/blue" in
+  let name = Ring.intern vm "main#blue" in
+  let at = 1234567.875 in
+  check "traced cycle event allocates nothing" (fun i ->
+      Ring.record_cycles vm ~code:Ring.code_chunk_begin ~track ~name ~arg:i at);
+  let e = (Ring.to_events vm).(0) in
+  Alcotest.(check (float 0.0)) "cycle stamp round-trips" at e.Ring.ev_at;
+  Alcotest.(check int) "track kept" track e.Ring.ev_track;
+  Alcotest.(check string) "name kept" "main#blue" e.Ring.ev_name
+
+(* --- trace: track names and flow ids shared by its rings --- *)
+
+let test_trace_tracks_and_flows () =
+  let tr = Ring.Trace.create ~cap:16 () in
+  let r = Ring.Trace.ring tr "srv/shard0" in
+  let a = Ring.fresh_track r "alpha" in
+  let b = Ring.fresh_track r "beta" in
+  Alcotest.(check bool) "distinct tracks" true (a <> b);
+  Alcotest.(check string) "name kept" "alpha" (Ring.Trace.track_name tr a);
+  Alcotest.(check string) "ring names its track" "srv/shard0"
+    (Ring.Trace.track_name tr (Ring.track r));
+  (* a second ring reusing a name gets a distinct one *)
+  let r2 = Ring.Trace.ring tr "srv/shard0" in
+  let names = List.map snd (Ring.Trace.tracks tr) in
+  Alcotest.(check int) "track names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let f1 = Ring.fresh_flow r in
+  let f2 = Ring.fresh_flow r2 in
+  Alcotest.(check bool) "flows distinct across rings" true (f1 <> f2);
+  Ring.record r ~code:Ring.code_ecall ~arg:0 ~t_us:5;
+  Ring.Trace.clear tr;
+  Alcotest.(check int) "clear empties events" 0
+    (Array.length (Ring.Trace.events tr));
+  Alcotest.(check bool) "flow ids survive clear" true
+    (Ring.fresh_flow r > max f1 f2);
+  Alcotest.(check string) "tracks survive clear" "beta"
+    (Ring.Trace.track_name tr b)
+
+let test_flows_across_domains () =
+  let tr = Ring.Trace.create ~cap:16 () in
+  let n = 10_000 in
+  let alloc r =
+    Domain.spawn (fun () -> Array.init n (fun _ -> Ring.fresh_flow r))
+  in
+  let d1 = alloc (Ring.Trace.ring tr "d0/U") in
+  let d2 = alloc (Ring.Trace.ring tr "d1/U") in
+  let all = Array.append (Domain.join d1) (Domain.join d2) in
+  Alcotest.(check int) "no flow id collides" (2 * n)
+    (List.length (List.sort_uniq compare (Array.to_list all)))
 
 (* --- lane: phase accounting arithmetic --- *)
 
 let test_lane_accounting () =
-  let l = Lane.create ~id:7 ~label:"d0/blue" ~now_us:0 () in
+  let l = Lane.create ~ring:(Ring.create ~id:7 ~label:"d0/blue" ()) ~now_us:0 in
   Alcotest.(check int) "starts in queue-wait"
     (Phase.index Phase.Queue_wait) (Lane.current l);
   Lane.enter l Phase.Run ~now_us:100;
@@ -229,6 +284,9 @@ let suite =
       test_concurrent_merge;
     Alcotest.test_case "record path allocates nothing" `Quick
       test_zero_alloc_record;
+    Alcotest.test_case "trace tracks/flows" `Quick test_trace_tracks_and_flows;
+    Alcotest.test_case "flows from two domains never collide" `Quick
+      test_flows_across_domains;
     Alcotest.test_case "lane phase accounting" `Quick test_lane_accounting;
     Alcotest.test_case "registry exposition grammar" `Quick
       test_registry_exposition;

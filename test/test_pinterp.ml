@@ -260,36 +260,48 @@ let test_concurrent_client_threads () =
     (Hashtbl.mem pt.Pinterp.workers (1, "blue"))
 
 let test_trace () =
+  let module Obs = Privagic_obs in
   let pt = Helpers.pinterp ~mode:Mode.Relaxed P.fig6 in
-  Pinterp.start_trace pt;
+  let tr = Obs.Trace.create () in
+  Pinterp.set_telemetry pt (Some tr);
   ignore (Pinterp.call_entry pt "main" []);
-  let evs = Pinterp.stop_trace pt in
+  let evs = Array.to_list (Obs.Trace.events tr) in
   let has pred = List.exists pred evs in
+  let is code name (e : Obs.Ring.event) =
+    e.ev_code = code && e.ev_name = name
+  in
+  let recv_track flow =
+    List.find_map
+      (fun (e : Obs.Ring.event) ->
+        if e.ev_code = Obs.Ring.code_msg_recv && e.ev_arg = flow then
+          Some (Obs.Trace.track_name tr e.ev_track)
+        else None)
+      evs
+  in
+  (* the spawned chunk starts on the worker the spawn message reached *)
   Alcotest.(check bool) "spawned main#blue" true
-    (has (fun (te : Pinterp.traced_event) ->
-         match te.Pinterp.ev with
-         | Pinterp.Ev_spawn { chunk; _ } -> chunk = "main#blue"
-         | _ -> false));
+    (has (fun (b : Obs.Ring.event) ->
+         is Obs.Ring.code_chunk_begin "main#blue" b
+         && has (fun r ->
+                is Obs.Ring.code_msg_recv "spawn" r
+                && r.ev_track = b.ev_track)));
   Alcotest.(check bool) "retval cont to U" true
-    (has (fun te ->
-         match te.Pinterp.ev with
-         | Pinterp.Ev_cont { target = Privagic_pir.Color.Unsafe; tag } ->
-           tag = "retval"
-         | _ -> false));
+    (has (fun e ->
+         is Obs.Ring.code_msg_send "retval" e
+         && recv_track e.ev_arg = Some "t0/U"));
   Alcotest.(check bool) "g executed in red" true
-    (has (fun te ->
-         match te.Pinterp.ev with
-         | Pinterp.Ev_chunk_end { chunk; _ } -> chunk = "g#red"
-         | _ -> false));
-  (* timestamps are monotone within each worker's chunk execution *)
+    (has (fun e ->
+         is Obs.Ring.code_chunk_end "g#red" e
+         && Obs.Trace.track_name tr e.ev_track = "t0/red"));
   List.iter
-    (fun (te : Pinterp.traced_event) ->
-      Alcotest.(check bool) "non-negative time" true (te.Pinterp.ev_at >= 0.0))
+    (fun (e : Obs.Ring.event) ->
+      Alcotest.(check bool) "non-negative time" true (e.ev_at >= 0.0))
     evs;
-  (* tracing off by default: a fresh request records nothing *)
+  (* detached: a fresh request records nothing *)
+  Pinterp.set_telemetry pt None;
   ignore (Pinterp.call_entry pt "main" []);
-  Alcotest.(check int) "no trace once stopped" 0
-    (List.length (Pinterp.stop_trace pt))
+  Alcotest.(check int) "no trace once stopped" (List.length evs)
+    (Array.length (Obs.Trace.events tr))
 
 let suite =
   [

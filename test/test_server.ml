@@ -472,6 +472,104 @@ let test_pipelined_burst () =
   Alcotest.(check bool) "cross-shard requests flowed" true
     (s.Server.s_xshard > 0)
 
+(* Tracing a sharded parallel server: the shard loops, the ship threads
+   and every backend lane record into rings of their own, all stamped
+   from the obs epoch, so the merged trace of concurrent pipelined load
+   is well formed and on one clock. *)
+let test_trace_sharded_parallel () =
+  let module Obs = Privagic_obs in
+  let module Ring = Obs.Ring in
+  let shards = 2 and clients = 4 and per_client = 50 in
+  let bnd = Option.get (Server.bindings_of_plan (plan ())) in
+  let tr = Obs.Trace.create () in
+  let stores =
+    Array.init shards (fun _ ->
+        let p = Parallel.create ~lanes:2 (plan ()) in
+        Parallel.set_telemetry p (Some tr);
+        let s = Server.store_of_parallel p in
+        init_store s;
+        s)
+  in
+  (* the mc_init chunks above precede every request *)
+  let served_from = Obs.now_us () in
+  let cfg =
+    { Server.default_config with
+      Server.port = 0; shards; vsize; telemetry = Some tr }
+  in
+  let srv = Server.start cfg bnd stores in
+  let stored = Atomic.make 0 in
+  let client i =
+    Thread.create
+      (fun () ->
+        let c = connect (Server.port srv) in
+        (* distinct keys: every set executes (no coalescing) *)
+        send_all c
+          (String.concat ""
+             (List.init per_client (fun j ->
+                  Protocol.render_request
+                    (Protocol.Set ((i * per_client) + j, "v")))));
+        List.iter
+          (fun r -> if r = Protocol.Stored then Atomic.incr stored)
+          (read_responses c per_client);
+        Unix.close c.fd)
+      ()
+  in
+  List.iter Thread.join (List.init clients client);
+  Server.drain srv;
+  Alcotest.(check int) "every set answered" (clients * per_client)
+    (Atomic.get stored);
+  let evs = Obs.Trace.events tr in
+  let depth = Hashtbl.create 16 in
+  let count code =
+    Array.fold_left
+      (fun n (e : Ring.event) -> if e.ev_code = code then n + 1 else n)
+      0 evs
+  in
+  Array.iter
+    (fun (e : Ring.event) ->
+      let d = Option.value ~default:0 (Hashtbl.find_opt depth e.ev_track) in
+      let c = e.ev_code in
+      if c = Ring.code_chunk_begin || c = Ring.code_req_begin then
+        Hashtbl.replace depth e.ev_track (d + 1)
+      else if c = Ring.code_chunk_end || c = Ring.code_req_end then begin
+        if d = 0 then
+          Alcotest.failf "end without begin on %s"
+            (Obs.Trace.track_name tr e.ev_track);
+        Hashtbl.replace depth e.ev_track (d - 1)
+      end)
+    evs;
+  Hashtbl.iter
+    (fun k d ->
+      if d <> 0 then
+        Alcotest.failf "%d unclosed spans on %s" d (Obs.Trace.track_name tr k))
+    depth;
+  let names = List.map snd (Obs.Trace.tracks tr) in
+  Alcotest.(check int) "track names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check int) "one request span per answered request"
+    (Atomic.get stored) (count Ring.code_req_begin);
+  (* one clock: the served requests' chunk spans lie inside the interval
+     the request spans cover *)
+  let stamps code =
+    Array.to_list evs
+    |> List.filter_map (fun (e : Ring.event) ->
+           if e.ev_code = code then Some e.ev_at else None)
+  in
+  let lo = List.fold_left Float.min infinity (stamps Ring.code_req_begin) in
+  let hi = List.fold_left Float.max neg_infinity (stamps Ring.code_req_end) in
+  let chunks =
+    List.filter
+      (fun at -> at >= float_of_int served_from)
+      (stamps Ring.code_chunk_begin @ stamps Ring.code_chunk_end)
+  in
+  Alcotest.(check bool) "served requests ran chunks" true (chunks <> []);
+  List.iter
+    (fun at ->
+      if at < lo || at > hi then
+        Alcotest.failf "chunk stamp %.0f outside the request spans [%.0f, %.0f]"
+          at lo hi)
+    chunks
+
 let suite =
   [
     Alcotest.test_case "protocol: fragmented parse + roundtrip" `Quick
@@ -496,4 +594,6 @@ let suite =
     Alcotest.test_case "shedding at queue bound 1" `Quick test_shedding;
     Alcotest.test_case "drain bound drops a stalled peer" `Quick
       test_drain_bound_stalled_peer;
+    Alcotest.test_case "trace of a sharded parallel server" `Quick
+      test_trace_sharded_parallel;
   ]

@@ -1,6 +1,6 @@
-(* The telemetry subsystem: recorder ring buffer, metrics, the Chrome
-   trace sink, the critical-path analyzer, and the cross-layer wiring
-   through the partitioned interpreter.
+(* The trace sinks over the event rings: metrics, the Chrome trace sink,
+   the critical-path analyzer, and the cross-layer wiring through the
+   partitioned interpreter.
 
    The two load-bearing properties:
    - the critical path tiles [0, makespan] exactly, so its segment lengths
@@ -11,6 +11,7 @@
      substring check). *)
 
 module Tel = Privagic_telemetry
+module Obs = Privagic_obs
 module Vclock = Privagic_runtime.Vclock
 module Sched = Privagic_runtime.Sched
 module Msqueue = Privagic_runtime.Msqueue
@@ -18,46 +19,6 @@ module P = Privagic_workloads.Programs
 module Sgx = Privagic_sgx
 open Privagic_secure
 open Privagic_vm
-
-(* --- recorder --- *)
-
-let test_recorder_disabled () =
-  Alcotest.(check bool) "null disabled" false (Tel.Recorder.enabled Tel.Recorder.null);
-  Tel.Recorder.record Tel.Recorder.null ~at:1.0 ~track:0 Tel.Event.Barrier;
-  Alcotest.(check int) "null records nothing" 0
-    (Tel.Recorder.length Tel.Recorder.null);
-  let r = Tel.Recorder.create ~capacity:8 () in
-  Tel.Recorder.set_enabled r false;
-  Tel.Recorder.record r ~at:1.0 ~track:0 Tel.Event.Barrier;
-  Alcotest.(check int) "disabled records nothing" 0 (Tel.Recorder.length r)
-
-let test_recorder_ring_wrap () =
-  let r = Tel.Recorder.create ~capacity:4 () in
-  for i = 0 to 9 do
-    Tel.Recorder.record r ~at:(float_of_int i) ~track:i Tel.Event.Barrier
-  done;
-  Alcotest.(check int) "capacity retained" 4 (Tel.Recorder.length r);
-  Alcotest.(check int) "dropped counted" 6 (Tel.Recorder.dropped r);
-  let evs = Tel.Recorder.events r in
-  Alcotest.(check (list int)) "oldest evicted, order kept" [ 6; 7; 8; 9 ]
-    (Array.to_list (Array.map (fun (e : Tel.Event.t) -> e.Tel.Event.track) evs))
-
-let test_recorder_tracks_and_flows () =
-  let r = Tel.Recorder.create ~capacity:16 () in
-  let a = Tel.Recorder.fresh_track r "alpha" in
-  let b = Tel.Recorder.fresh_track r "beta" in
-  Alcotest.(check bool) "distinct tracks" true (a <> b);
-  Alcotest.(check string) "name kept" "alpha" (Tel.Recorder.track_name r a);
-  let f1 = Tel.Recorder.fresh_flow r in
-  let f2 = Tel.Recorder.fresh_flow r in
-  Alcotest.(check bool) "flows distinct" true (f1 <> f2);
-  Tel.Recorder.record r ~at:5.0 ~track:a Tel.Event.Ecall;
-  Tel.Recorder.clear r;
-  Alcotest.(check int) "clear empties events" 0 (Tel.Recorder.length r);
-  Alcotest.(check bool) "flow ids survive clear" true
-    (Tel.Recorder.fresh_flow r > f2);
-  Alcotest.(check string) "tracks survive clear" "beta"
-    (Tel.Recorder.track_name r b)
 
 (* --- metrics --- *)
 
@@ -186,16 +147,16 @@ let validate_json (s : string) =
 
 (* --- the partitioned fig6 run: trace + critical path --- *)
 
-let fig6_recorder () =
+let fig6_trace () =
   let pt = Helpers.pinterp ~mode:Mode.Relaxed P.fig6 in
-  let r = Tel.Recorder.create () in
-  Pinterp.set_telemetry pt r;
+  let tr = Obs.Trace.create () in
+  Pinterp.set_telemetry pt (Some tr);
   let res = Pinterp.call_entry pt "main" [] in
-  (pt, r, res)
+  (pt, tr, res)
 
 let test_chrome_trace_valid_json () =
-  let _, r, _ = fig6_recorder () in
-  let json = Tel.Chrome_trace.of_recorder r in
+  let _, tr, _ = fig6_trace () in
+  let json = Obs.Chrome_trace.of_trace tr in
   (match validate_json json with
   | () -> ()
   | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg);
@@ -222,8 +183,8 @@ let test_chrome_trace_valid_json () =
 let test_chrome_trace_golden () =
   (* the virtual-time execution is deterministic, so the exported trace of
      the two-enclave fig6 program is byte-stable *)
-  let _, r, _ = fig6_recorder () in
-  let json = Tel.Chrome_trace.of_recorder r in
+  let _, tr, _ = fig6_trace () in
+  let json = Obs.Chrome_trace.of_trace tr in
   (* found in the sandbox under [dune runtest], in test/ under [dune exec]
      from the repo root *)
   let golden_file =
@@ -243,20 +204,39 @@ let test_chrome_trace_golden () =
       golden_file
   end
 
+(* a wrapped ring lost the begins of its oldest spans: their ends are
+   dropped, so the exported spans stay balanced *)
+let test_chrome_trace_wrapped () =
+  let tr = Obs.Trace.create ~cap:2 () in
+  let r = Obs.Trace.vm_ring tr in
+  let track = Obs.Ring.fresh_track r "t0/U" in
+  let name = Obs.Ring.intern r "f" in
+  List.iteri
+    (fun i code ->
+      Obs.Ring.record_cycles r ~code ~track ~name ~arg:0 (float_of_int i))
+    Obs.Ring.[ code_chunk_begin; code_chunk_begin; code_chunk_end;
+               code_chunk_end ];
+  let json = Obs.Chrome_trace.of_trace tr in
+  (match validate_json json with
+  | () -> ()
+  | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg);
+  Alcotest.(check bool) "orphan ends dropped" false
+    (Helpers.contains json "\"ph\":\"E\"")
+
 let test_critical_path_fig6 () =
-  let pt, r, res = fig6_recorder () in
-  let cp = Tel.Critical_path.analyze (Tel.Recorder.events r) in
+  let pt, tr, res = fig6_trace () in
+  let cp = Obs.Critical_path.analyze (Obs.Trace.events tr) in
   let makespan = Sched.max_clock pt.Pinterp.sched in
-  Alcotest.(check bool) "walk complete" true cp.Tel.Critical_path.cp_complete;
+  Alcotest.(check bool) "walk complete" true cp.Obs.Critical_path.cp_complete;
   Alcotest.(check (float 0.001)) "path total = scheduler makespan" makespan
-    (Tel.Critical_path.total cp);
+    (Obs.Critical_path.total cp);
   Alcotest.(check (float 0.001)) "analyzer makespan agrees" makespan
-    cp.Tel.Critical_path.cp_makespan;
+    cp.Obs.Critical_path.cp_makespan;
   Alcotest.(check (float 0.001)) "request latency is the makespan"
     makespan res.Pinterp.completed_at;
   (* the three-partition program has cross-partition hops on the path *)
   Alcotest.(check bool) "more than one worker on the path" true
-    (List.length cp.Tel.Critical_path.cp_by_track > 1)
+    (List.length cp.Obs.Critical_path.cp_by_track > 1)
 
 (* property: for any op sequence against the partitioned hashmap, the
    critical path tiles [0, makespan] and sums to Sched.max_clock *)
@@ -272,8 +252,8 @@ let prop_critical_path_tiles =
       let pt =
         Pinterp.create ~config:Sgx.Config.machine_test (Lazy.force hashmap_plan)
       in
-      let r = Tel.Recorder.create () in
-      Pinterp.set_telemetry pt r;
+      let tr = Obs.Trace.create () in
+      Pinterp.set_telemetry pt (Some tr);
       let vbuf = Heap.alloc pt.Pinterp.exec.Exec.heap Heap.Unsafe 64 in
       List.iter
         (fun (is_put, k) ->
@@ -282,11 +262,11 @@ let prop_critical_path_tiles =
             (Pinterp.call_entry pt entry
                [ Helpers.rvalue_int k; Rvalue.Ptr vbuf ]))
         ops;
-      let cp = Tel.Critical_path.analyze (Tel.Recorder.events r) in
+      let cp = Obs.Critical_path.analyze (Obs.Trace.events tr) in
       let makespan = Sched.max_clock pt.Pinterp.sched in
-      cp.Tel.Critical_path.cp_complete
-      && Float.abs (Tel.Critical_path.total cp -. makespan) <= 1e-3
-      && Float.abs (cp.Tel.Critical_path.cp_makespan -. makespan) <= 1e-3)
+      cp.Obs.Critical_path.cp_complete
+      && Float.abs (Obs.Critical_path.total cp -. makespan) <= 1e-3
+      && Float.abs (cp.Obs.Critical_path.cp_makespan -. makespan) <= 1e-3)
 
 (* --- msqueue under adversarial scheduler interleavings --- *)
 
@@ -344,12 +324,14 @@ let prop_queue_linearizable =
 (* --- summary sink --- *)
 
 let test_summary_fig6 () =
-  let _, r, _ = fig6_recorder () in
-  let s = Tel.Summary.of_recorder r in
-  Alcotest.(check int) "no events dropped" 0 s.Tel.Summary.dropped;
-  Alcotest.(check bool) "events recorded" true (s.Tel.Summary.event_count > 0);
+  let _, tr, _ = fig6_trace () in
+  let s =
+    Obs.Summary.of_events ~dropped:(Obs.Trace.dropped tr) (Obs.Trace.events tr)
+  in
+  Alcotest.(check int) "no events dropped" 0 s.Obs.Summary.dropped;
+  Alcotest.(check bool) "events recorded" true (s.Obs.Summary.event_count > 0);
   let messages =
-    Tel.Metrics.fold_counters s.Tel.Summary.metrics
+    Tel.Metrics.fold_counters s.Obs.Summary.metrics
       (fun acc c ->
         if c.Tel.Metrics.c_name = "messages" then c.Tel.Metrics.count else acc)
       0
@@ -359,16 +341,17 @@ let test_summary_fig6 () =
     (fun (_, f) ->
       Alcotest.(check bool) "occupancy within [0, 1]" true
         (f >= 0.0 && f <= 1.0 +. 1e-9))
-    s.Tel.Summary.occupancy
+    s.Obs.Summary.occupancy
 
 (* telemetry detached: the same run records nothing and costs no events *)
 let test_disabled_records_nothing () =
   let pt = Helpers.pinterp ~mode:Mode.Relaxed P.fig6 in
-  let r = Tel.Recorder.create () in
-  Tel.Recorder.set_enabled r false;
-  Pinterp.set_telemetry pt r;
+  let tr = Obs.Trace.create () in
+  Pinterp.set_telemetry pt (Some tr);
+  Pinterp.set_telemetry pt None;
   let res = Pinterp.call_entry pt "main" [] in
-  Alcotest.(check int) "nothing recorded" 0 (Tel.Recorder.length r);
+  Alcotest.(check int) "nothing recorded" 0
+    (Array.length (Obs.Trace.events tr));
   (* and the virtual-time result is identical to an untraced run *)
   let pt' = Helpers.pinterp ~mode:Mode.Relaxed P.fig6 in
   let res' = Pinterp.call_entry pt' "main" [] in
@@ -377,15 +360,13 @@ let test_disabled_records_nothing () =
 
 let suite =
   [
-    Alcotest.test_case "recorder disabled" `Quick test_recorder_disabled;
-    Alcotest.test_case "recorder ring wrap" `Quick test_recorder_ring_wrap;
-    Alcotest.test_case "recorder tracks/flows" `Quick
-      test_recorder_tracks_and_flows;
     Alcotest.test_case "metrics histogram" `Quick test_metrics_histogram;
     Alcotest.test_case "chrome trace valid json" `Quick
       test_chrome_trace_valid_json;
     Alcotest.test_case "chrome trace golden (two-enclave)" `Quick
       test_chrome_trace_golden;
+    Alcotest.test_case "chrome trace of a wrapped ring" `Quick
+      test_chrome_trace_wrapped;
     Alcotest.test_case "critical path fig6" `Quick test_critical_path_fig6;
     QCheck_alcotest.to_alcotest prop_critical_path_tiles;
     QCheck_alcotest.to_alcotest prop_queue_linearizable;
